@@ -67,15 +67,13 @@ def squarefree_kernel(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> int:
     return math.prod(prime_divisors(n, bound))
 
 
-def strip_primes(n: int, primes: tuple[int, ...]) -> int:
-    """Remove every factor of the given primes from |n|."""
-    n = abs(n)
-    if n == 0:
-        return 0
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n
+def p_part(n: int, p: int) -> int:
+    """Largest power of the prime p dividing n, n != 0."""
+    out = 1
+    while n % p == 0:
+        out *= p
+        n //= p
+    return out
 
 
 def coprime_part(n: int, f: int) -> int:
@@ -138,14 +136,6 @@ class Ring:
         return self.inverted is not None or self.local_prime is not None
 
     @property
-    def base(self) -> Ring:
-        return Ring(modulus=self.modulus)
-
-    @property
-    def is_zero_ring(self) -> bool:
-        return self.effective_modulus == 1
-
-    @property
     def effective_modulus(self) -> int | None:
         """Modulus of the ring up to isomorphism; None for infinite rings."""
         if self.modulus is None:
@@ -155,13 +145,7 @@ class Ring:
         if self.inverted is not None:
             return coprime_part(self.modulus, self.inverted)
         if self.local_prime is not None:
-            p = self.local_prime
-            m = self.modulus
-            pv = 1
-            while m % p == 0:
-                pv *= p
-                m //= p
-            return pv
+            return p_part(self.modulus, self.local_prime)
         return self.modulus
 
     def reduce(self, x: int) -> int:
@@ -198,10 +182,6 @@ class Ideal:
         m = self.ring.effective_modulus
         return self.gen == (0 if m is None else m)
 
-    @property
-    def is_unit(self) -> bool:
-        return self.gen == 1
-
     def contains_ideal(self, other: Ideal) -> bool:
         if self.ring != other.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
@@ -236,19 +216,13 @@ def _canonical_gen(ring: Ring, g: int) -> int:
         return math.gcd(g, m)
     if not ring.is_localized:
         return abs(g)
-    if ring.inverted is not None:
-        return strip_primes(g, prime_divisors(ring.inverted))
-    p = ring.local_prime
-    if p == 0:
-        return 0 if g == 0 else 1
+    # coprime_part and p_part never return on 0
     if g == 0:
         return 0
-    g = abs(g)
-    out = 1
-    while g % p == 0:
-        out *= p
-        g //= p
-    return out
+    if ring.inverted is not None:
+        return coprime_part(abs(g), ring.inverted)
+    p = ring.local_prime
+    return p_part(g, p) if p else 1
 
 
 def ideal_combine(op: str, a: Ideal, b: Ideal) -> Ideal:
@@ -268,10 +242,6 @@ def ideal_combine(op: str, a: Ideal, b: Ideal) -> Ideal:
 
 def ideal_sum(*ideals: Ideal) -> Ideal:
     return reduce(lambda x, y: ideal_combine("sum", x, y), ideals)
-
-
-def ideal_intersect(*ideals: Ideal) -> Ideal:
-    return reduce(lambda x, y: ideal_combine("intersect", x, y), ideals)
 
 
 def ideal_radical(a: Ideal, bound: int = DEFAULT_FACTOR_BOUND) -> Ideal:

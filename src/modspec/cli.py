@@ -16,7 +16,6 @@ import os
 import sys
 
 from .arith import ZZ, Ideal, Ring, Zmod, is_prime
-from .corpus import full_corpus
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
     DEFAULT_SUBGROUP_CAP,
@@ -185,8 +184,13 @@ def load_module_file(text: str) -> tuple[FgModule, dict]:
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ModuleFileError("caps", "expected an object")
+    if "factor_bound" in caps:
+        raise ModuleFileError(
+            "caps.factor_bound",
+            "not supported; the caps that apply are cardinality and subgroup_enumeration",
+        )
     parsed_caps = {}
-    for key in ("cardinality", "subgroup_enumeration", "factor_bound"):
+    for key in ("cardinality", "subgroup_enumeration"):
         if key in caps:
             parsed_caps[key] = _decode_int(caps[key], f"caps.{key}")
     return module, parsed_caps

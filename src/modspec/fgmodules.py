@@ -449,7 +449,7 @@ def scalar_multiple_submodule(f: int, module: FgModule) -> Submodule:
 
 
 # ---------------------------------------------------------------------------
-# colon ideals and annihilators
+# colon ideals
 # ---------------------------------------------------------------------------
 
 def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
@@ -467,10 +467,6 @@ def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
     if len(diag) < d:
         return ideal(module.ring, 0)
     return ideal(module.ring, diag[-1])
-
-
-def annihilator(module: FgModule) -> Ideal:
-    return module.annihilator()
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +502,9 @@ def direct_sum_with_embeddings(m1: FgModule, m2: FgModule) -> tuple[FgModule, Li
     if m1.is_prufer or m2.is_prufer:
         raise UnsupportedModuleError("direct sums are defined for presented modules")
     d1, d2 = m1.rank, m2.rank
-    k = d1 + d2
-    rows = []
-    for i, e in enumerate(m1.factors):
-        row = [0] * k
-        row[i] = e
-        rows.append(row)
-    for i, e in enumerate(m2.factors):
-        row = [0] * k
-        row[d1 + i] = e
-        rows.append(row)
-    module, coordmap = _normalize_with_coordmap(m1.ring, k, rows)
+    rows = [row + (0,) * d2 for row in m1.relation_rows()]
+    rows += [(0,) * d1 + row for row in m2.relation_rows()]
+    module, coordmap = _normalize_with_coordmap(m1.ring, d1 + d2, rows)
     emb1 = LinearMap(m1, module, coordmap[:d1])
     emb2 = LinearMap(m2, module, coordmap[d1:])
     return module, emb1, emb2

@@ -62,53 +62,6 @@ def hnf(rows: Iterable[Sequence[int]], ncols: int) -> Basis:
     return tuple(tuple(row) for row in A[:r])
 
 
-def hnf_with_transform(
-    rows: Iterable[Sequence[int]], ncols: int
-) -> tuple[tuple[Row, ...], tuple[Row, ...], int]:
-    """HNF together with a unimodular row transform.
-
-    Returns ``(H, U, rank)`` where ``U`` is unimodular, ``U @ A == H`` with
-    the zero rows of H collected at the bottom, and ``rank`` counts the
-    nonzero rows.
-    """
-    A = _as_rows(rows, ncols)
-    m = len(A)
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        while True:
-            candidates = [i for i in range(r, m) if A[i][c] != 0]
-            if not candidates:
-                break
-            i0 = min(candidates, key=lambda i: abs(A[i][c]))
-            A[r], A[i0] = A[i0], A[r]
-            U[r], U[i0] = U[i0], U[r]
-            clean = True
-            for i in range(r + 1, m):
-                if A[i][c] != 0:
-                    q = A[i][c] // A[r][c]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
-                    if A[i][c] != 0:
-                        clean = False
-            if clean:
-                break
-        if A[r][c] != 0:
-            if A[r][c] < 0:
-                A[r] = [-x for x in A[r]]
-                U[r] = [-x for x in U[r]]
-            for i in range(r):
-                q = A[i][c] // A[r][c]
-                if q:
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
-            r += 1
-    H = tuple(tuple(row) for row in A)
-    return H, tuple(tuple(row) for row in U), r
-
-
 def pivot_columns(basis: Basis) -> tuple[int, ...]:
     """Column index of the leading nonzero entry of each HNF row."""
     cols = []
@@ -143,24 +96,14 @@ def lattice_sum(b1: Basis, b2: Basis, ncols: int) -> Basis:
 
 
 def lattice_intersection(b1: Basis, b2: Basis, ncols: int) -> Basis:
-    """Intersection of two lattices given by generating rows.
+    """Intersection of two lattices given by generating rows (Zassenhaus).
 
-    Solves a.B1 = b.B2 through the left kernel of the stacked matrix
-    [[B1], [-B2]]; the kernel rows are read off a unimodular HNF transform.
+    In the HNF of the block matrix [[B1, B1], [B2, 0]] the rows with a zero
+    left half span {0} x (L1 cap L2), and their right halves are already
+    its HNF (Cohen, GTM 138, sec. 2.4).
     """
-    if not b1 or not b2:
-        return ()
-    stacked = [list(row) for row in b1] + [[-x for x in row] for row in b2]
-    _, U, rank = hnf_with_transform(stacked, ncols)
-    vectors = []
-    for k in range(rank, len(stacked)):
-        coeffs = U[k][: len(b1)]
-        vec = [0] * ncols
-        for a, row in zip(coeffs, b1):
-            for j, x in enumerate(row):
-                vec[j] += a * x
-        vectors.append(vec)
-    return hnf(vectors, ncols)
+    block = [tuple(row) * 2 for row in b1] + [tuple(row) + (0,) * ncols for row in b2]
+    return tuple(row[ncols:] for row in hnf(block, 2 * ncols) if not any(row[:ncols]))
 
 
 def lattice_index(basis: Basis, ncols: int) -> int | None:

@@ -21,16 +21,24 @@ factor-stripping rule nor the Smith normal form path.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable
 
-from .arith import Ideal, Ring, ZZ, ideal, is_prime, prime_divisors, squarefree_kernel
+from .arith import (
+    Ideal,
+    Ring,
+    ZZ,
+    coprime_part,
+    ideal,
+    is_prime,
+    p_part,
+    prime_divisors,
+    squarefree_kernel,
+)
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
-    CapExceededError,
     FgModule,
     ModElement,
     Submodule,
@@ -264,20 +272,9 @@ def localize(module: FgModule, mult_set: MultSet) -> LocalizedModule:
 
     def strip(e: int) -> int:
         if mult_set.kind == "powers":
-            f = ring.reduce(mult_set.value)
-            while True:
-                g = math.gcd(e, f)
-                if g == 1:
-                    return e
-                e //= g
+            return coprime_part(e, ring.reduce(mult_set.value))
         p = mult_set.value
-        if p == 0:
-            return 1
-        out = 1
-        while e % p == 0:
-            out *= p
-            e //= p
-        return out
+        return p_part(e, p) if p else 1
 
     kept = []
     for i, e in enumerate(module.factors):
@@ -366,13 +363,10 @@ def localize_bruteforce(
     loc_ring = mult_set.localized_ring(module.ring)
     if module.is_zero:
         return LocalizedModule(loc_ring, zero_module(module.ring), module, (), mult_set)
-    card = module.cardinality
-    if card > cap:
-        raise CapExceededError(f"|M| = {card} exceeds the cardinality cap {cap}")
+    elems = [x.coords for x in module.elements(cap)]
     factors = module.factors
     a = module.exponent
     s_img = mult_set.image_mod(a)
-    elems = list(itertools.product(*(range(e) for e in factors)))
 
     def scaled(r, c):
         return tuple((r * x) % e for x, e in zip(c, factors))

@@ -13,11 +13,20 @@ axioms are all verified by finite enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterator
 
-from .arith import Ideal, ideal_radical
+from .arith import (
+    BezoutDecomposition,
+    Ideal,
+    bezout_decompose,
+    ideal_radical,
+    ideal_sum,
+    p_part,
+    radical_membership_witness,
+)
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
     CapExceededError,
@@ -25,21 +34,17 @@ from .fgmodules import (
     ModElement,
     UnsupportedModuleError,
     colon,
-    direct_sum,
     iso_class_equal,
     scalar_multiple_submodule,
-    zero_module,
 )
 from .localization import LocalizedModule, MultSet, localize
 from .spectrum import (
     OpenSet,
     PrimeSubmodule,
     PropertyViolation,
-    Spectrum,
     basic_open,
     spec_enumerate,
 )
-from .arith import BezoutDecomposition, bezout_decompose, ideal_sum, radical_membership_witness
 
 
 class CoverError(ValueError):
@@ -149,9 +154,10 @@ def sections(module: FgModule, open_set: OpenSet) -> SectionSpace:
         (p, localize(module, MultSet.complement_of_prime(p)))
         for p in sorted(open_set.fiber_primes)
     )
-    carrier = zero_module(module.ring)
-    for _, loc in stalks:
-        carrier = direct_sum(carrier, loc.module)
+    # the carrier is the product of the stalks M_(p): its i-th invariant
+    # factor is the product over the fibers p of the p-part of M's i-th
+    products = (math.prod(p_part(e, p) for p in open_set.fiber_primes) for e in module.factors)
+    carrier = FgModule(module.ring, tuple(c for c in products if c > 1))
     return SectionSpace(open_set, stalks, carrier)
 
 

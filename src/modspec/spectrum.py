@@ -20,7 +20,6 @@ from .arith import Ideal, ideal, ideal_radical, is_prime_ideal
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
     DEFAULT_SUBGROUP_CAP,
-    CapExceededError,
     FgModule,
     Submodule,
     UnsupportedModuleError,
@@ -176,10 +175,8 @@ def is_prime_submodule(
         raise UnsupportedModuleError("the brute-force prime test needs a finite module")
     if sub.is_full:
         return None
+    coords_all = [x.coords for x in module.elements(cap)]
     factors = module.factors
-    if module.cardinality > cap:
-        raise CapExceededError(f"|M| = {module.cardinality} exceeds the cardinality cap {cap}")
-    coords_all = list(itertools.product(*(range(e) for e in factors)))
     member = frozenset(c for c in coords_all if lattice_contains(sub.basis, c))
 
     def scaled(a, c):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from modspec.arith import (
     FactorBoundExceeded,
     NotInRadicalError,
+    Ring,
     RingMismatchError,
     ZZ,
     Zmod,
@@ -90,6 +91,14 @@ def test_ideal_canonicalization():
     assert ideal(Zmod(24), 10).gen == 2
     assert ideal(Zmod(24), 0).gen == 24  # zero ideal of Z/24
     assert ideal(Zmod(24), 25).gen == 1
+
+
+def test_ideal_canonicalization_over_localized_z():
+    # 0 must stay (0): coprime_part and p_part never return on it
+    inverted_6 = Ring(inverted=6)
+    at_3 = Ring(local_prime=3)
+    assert [ideal(inverted_6, g).gen for g in (0, -12, -18)] == [0, 1, 1]
+    assert [ideal(at_3, g).gen for g in (0, -12, -18)] == [0, 3, 9]
 
 
 def test_ideal_combine_examples():

@@ -180,6 +180,47 @@ def test_verify_suite_2_1(capsys, z12):
     assert suite["checks"] > 10000
 
 
+def module_file(tmp_path, ring, factors, **extra):
+    path = tmp_path / "m.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ring": ring,
+                "module": {"kind": "invariant_factors", "factors": factors, "free_rank": 0},
+                **extra,
+            }
+        )
+    )
+    return str(path)
+
+
+def test_verify_direct_sums_on_zmod_module(capsys, tmp_path):
+    # the suite pairs Z-modules only, so a module over Z/n leaves no pairs
+    path = module_file(tmp_path, {"kind": "Zmod", "n": 12}, [2, 6])
+    code, report = run(capsys, ["verify", path, "--suite", "2.3"])
+    assert code == 0 and report["status"] == "ok"
+    (suite,) = report["result"]["suites"]
+    assert suite["suite"] == "direct-sums" and suite["checks"] == 0
+
+
+def test_verify_all_on_zero_module(capsys, tmp_path):
+    # cover decomposition draws from nonzero modules only
+    path = module_file(tmp_path, {"kind": "Z"}, [])
+    code, report = run(capsys, ["verify", path, "--suite", "all"])
+    assert code == 0 and report["status"] == "ok"
+    checks = {s["suite"]: s["checks"] for s in report["result"]["suites"]}
+    assert checks["cover-decomposition"] == 0
+
+
+def test_factor_bound_cap_is_rejected(capsys, tmp_path):
+    path = module_file(tmp_path, {"kind": "Zmod", "n": 10403}, [10403], caps={"factor_bound": 2})
+    code, report = run(capsys, ["spec", path])
+    assert code == 1 and report["status"] == "error"
+    error = report["result"]["error"]
+    assert error.startswith("caps.factor_bound:")
+    assert "cardinality" in error and "subgroup_enumeration" in error
+
+
 # ---------------------------------------------------------------------------
 # exit codes, determinism, env overrides
 # ---------------------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_submodule_membership_matches_generation():
         assert {e.coords for e in s.elements()} == closure
 
 
+@pytest.mark.parametrize("orders", [(4, 4), (2, 6), (2, 2, 2)])
+def test_intersect_matches_element_sets(orders):
+    m = from_cyclic_orders(ZZ, orders)
+    subs = list(all_submodules(m))
+    for n1, n2 in itertools.product(subs, repeat=2):
+        meet = n1.intersect(n2)
+        assert set(meet.elements()) == set(n1.elements()) & set(n2.elements())
+
+
 def test_lagrange():
     for orders in [(4,), (2, 4), (2, 2, 2), (12,), (2, 6)]:
         m = from_cyclic_orders(ZZ, orders)

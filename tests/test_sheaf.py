@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from modspec.arith import ZZ, Zmod, ideal
+from modspec.corpus import finite_corpus
 from modspec.fgmodules import (
+    direct_sum,
     from_cyclic_orders,
     iso_class_equal,
     normalize,
@@ -40,6 +44,19 @@ def test_sections_examples():
     p = prufer_module(3)
     pspec = spec_enumerate(p)
     assert sections(p, pspec.full_open()).carrier.is_zero
+
+
+def test_sections_carrier_is_the_sum_of_the_stalks():
+    for m in finite_corpus():
+        spec = spec_enumerate(m)
+        primes = sorted(spec.fiber_primes)
+        for k in range(len(primes) + 1):
+            for chosen in itertools.combinations(primes, k):
+                space = sections(m, spec.open_set(chosen))
+                folded = zero_module(m.ring)
+                for _, loc in space.stalks:
+                    folded = direct_sum(folded, loc.module)
+                assert space.carrier == folded
 
 
 def test_restrict_examples():
