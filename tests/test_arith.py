@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from modspec import arith
 from modspec.arith import (
+    DEFAULT_FACTOR_BOUND,
     FactorBoundExceeded,
     NotInRadicalError,
     Ring,
@@ -12,12 +15,14 @@ from modspec.arith import (
     ZZ,
     Zmod,
     bezout_decompose,
+    coprime_part,
     egcd,
     factorize,
     ideal,
     ideal_combine,
     ideal_radical,
     is_prime_ideal,
+    p_part,
     radical_membership_witness,
 )
 
@@ -74,6 +79,148 @@ def test_factorize_bound_rejects():
     assert factorize(2 * p, bound=2000) == {2: 1, p: 1}
 
 
+# ---------------------------------------------------------------------------
+# factorize against the trial-division loop it replaced
+# ---------------------------------------------------------------------------
+
+def factorize_by_trial_division(n, bound=DEFAULT_FACTOR_BOUND):
+    """Reference: the trial-division loop that defines which inputs
+    factorize answers and what it says when it refuses."""
+    n = abs(int(n))
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    factors = {}
+    d = 2
+    while d * d <= n:
+        if d > bound:
+            raise FactorBoundExceeded(
+                f"trial division bound {bound} exceeded while factoring {n}"
+            )
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def outcome(fn, n, bound):
+    """The factor items in order, or the refusal text."""
+    try:
+        return list(fn(n, bound).items())
+    except FactorBoundExceeded as exc:
+        return str(exc)
+
+
+def assert_matches_reference(n, bound=DEFAULT_FACTOR_BOUND):
+    got = outcome(factorize, n, bound)
+    assert got == outcome(factorize_by_trial_division, n, bound)
+    if isinstance(got, list):
+        assert dict(got) == sympy.factorint(abs(n))
+
+
+def first_divisor_past(bound):
+    return 2 if bound < 2 else bound + 1 + bound % 2
+
+
+PSI_12 = 318_665_857_834_031_151_167_461  # strong pseudoprime to bases 2..37
+PSI_13 = 3_317_044_064_679_887_385_961_981  # strong pseudoprime to bases 2..41
+
+
+@given(
+    st.integers(-10**12, 10**12).filter(bool),
+    st.one_of(st.integers(1, 3000), st.just(DEFAULT_FACTOR_BOUND)),
+)
+@settings(max_examples=300, deadline=None)
+def test_factorize_matches_trial_division(n, bound):
+    assert_matches_reference(n, bound)
+
+
+BOUNDS = (1, 2, 3, 4, 10, 1000, 1023, 1024, 1025, 1026, 1027, 1031, 3000, 10**5)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_factorize_matches_trial_division_at_the_bound(bound):
+    # the primes on either side of the bound, alone, squared and together
+    below = sympy.prevprime(bound + 1) if bound >= 2 else None
+    above = sympy.nextprime(bound)
+    inputs = [above, above**2, 6 * above**2]
+    if below:
+        inputs += [below * above, below**2 * above, below * above**2]
+    # a prime cofactor just below and just above d*^2
+    d_star = first_divisor_past(bound)
+    for p in (sympy.prevprime(d_star**2), sympy.nextprime(d_star**2)):
+        inputs += [p, 30 * p, above * p]
+    for n in inputs:
+        assert_matches_reference(n, bound)
+
+
+@pytest.fixture
+def trial_stops(monkeypatch):
+    """The ``stop`` of every call to the trial-division step."""
+    trial_divide = arith._trial_divide
+    stops = []
+
+    def recorded(n, d, stop, factors):
+        stops.append(stop)
+        return trial_divide(n, d, stop, factors)
+
+    monkeypatch.setattr(arith, "_trial_divide", recorded)
+    return stops
+
+
+def test_factorize_matches_trial_division_off_the_fast_path(trial_stops):
+    # at bound 3000 Pollard-Brent exhausts its budget on the first two, and
+    # PSI_13 is past the range where Miller-Rabin is proven exact
+    for n in (5_000_011 * 7_000_003, 6 * PSI_12, PSI_13):
+        assert_matches_reference(n, 3000)
+        assert trial_stops[-1] == 3000
+    assert_matches_reference(PSI_12, 1000)
+
+
+def is_strong_probable_prime(n, a):
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    x = pow(a, t, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def test_miller_rabin_needs_the_thirteenth_base():
+    assert not sympy.isprime(PSI_12) and not sympy.isprime(PSI_13)
+    bases = arith._MR_BASES
+    assert bases == tuple(sympy.primerange(2, 42))
+    assert all(is_strong_probable_prime(PSI_12, a) for a in bases[:12])
+    assert not is_strong_probable_prime(PSI_12, bases[12])
+    assert all(is_strong_probable_prime(PSI_13, a) for a in bases)
+    assert arith._PSI13 == PSI_13
+    assert not arith._is_prime_mr(PSI_12)
+    assert arith._is_prime_mr(2**61 - 1)
+    with pytest.raises(FactorBoundExceeded):
+        factorize(PSI_12, 1000)
+
+
+def test_refusals_of_large_primes_skip_trial_division(trial_stops):
+    # the shape of the refused queries-deep pradical queries, and a Mersenne prime
+    for n in (30 * 10_000_019 * 19_999_999, 2**61 - 1):
+        with pytest.raises(FactorBoundExceeded) as exc:
+            factorize(n)
+        assert trial_stops and max(trial_stops) <= 2**10
+        assert outcome(factorize_by_trial_division, n, DEFAULT_FACTOR_BOUND) == str(exc.value)
+        trial_stops.clear()
+
+
+def test_p_part_and_coprime_part_reject_what_they_cannot_strip():
+    assert p_part(-72, 3) == 9
+    assert coprime_part(-90, 3) == -10
+    assert coprime_part(90, 0) == 1
+    for bad in (lambda: p_part(0, 3), lambda: p_part(12, 1), lambda: p_part(12, 0),
+                lambda: coprime_part(0, 6), lambda: coprime_part(0, 0)):
+        with pytest.raises(ValueError):
+            bad()
+
+
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 def test_egcd_identity(a, b):
     g, x, y = egcd(a, b)
@@ -94,7 +241,7 @@ def test_ideal_canonicalization():
 
 
 def test_ideal_canonicalization_over_localized_z():
-    # 0 must stay (0): coprime_part and p_part never return on it
+    # 0 must stay (0): coprime_part and p_part reject it
     inverted_6 = Ring(inverted=6)
     at_3 = Ring(local_prime=3)
     assert [ideal(inverted_6, g).gen for g in (0, -12, -18)] == [0, 1, 1]
