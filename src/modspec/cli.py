@@ -278,7 +278,7 @@ def cmd_spec(module, args, caps):
         str(p): [submodule_json(ps.sub) for ps in chunk]
         for p, chunk in spectrum.fibers
     }
-    nm = natural_map(module)
+    nm = natural_map(module, spectrum)
     return {
         "fibers": fibers,
         "point_count": len(spectrum),

@@ -7,6 +7,14 @@ and two enumeration strategies are provided: definitional brute force over
 all subgroups, and the classified fast path P is (p)-prime iff
 p*M <= P < M, which walks the proper subspaces of the vector space M/pM.
 The two must agree; "both" enforces that.
+
+Opens, varieties and sections depend on the spectrum only through its
+fiber set, so the classified spectrum is lazy: its fibers are the relevant
+primes, and a fiber's points are built on first use.  Until then its size
+is the closed-form count of proper subspaces of F_p^s, a sum of Gaussian
+binomials; a built fiber is checked against it.  Each point's HNF is read
+off the reduced-row-echelon basis of its subspace, with no lattice
+reduction.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from .fgmodules import (
     all_submodules,
     colon,
     scalar_multiple_submodule,
-    submodule_from_lattice,
 )
 from .lattices import lattice_contains
 
@@ -53,37 +60,67 @@ class PrimeSubmodule:
         return self.char_ideal.gen
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    """Spec(M) grouped into fibers over the relevant primes."""
+    """Spec(M) grouped into fibers over the relevant primes.
 
-    module: FgModule
-    fibers: tuple[tuple[int, tuple[PrimeSubmodule, ...]], ...]
+    ``fibers`` pairs each fiber prime with its points, or with None for a
+    fiber of the classified strategy that is built on first use and then
+    kept on this object.  Equality and hashing use the module and the fiber
+    primes, which determine the points.
+    """
+
+    def __init__(self, module: FgModule, fibers) -> None:
+        self.module = module
+        self._fibers: dict[int, tuple[PrimeSubmodule, ...] | None] = {}
+        for p, chunk in sorted(fibers, key=lambda pc: pc[0]):
+            self._fibers[p] = None if chunk is None else self._checked(p, chunk)
+        self.fiber_primes = frozenset(self._fibers)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return self.module == other.module and self.fiber_primes == other.fiber_primes
 
     def __hash__(self) -> int:
-        # shallow but consistent: the fiber content is determined by the module
-        return hash((self.module, tuple(p for p, _ in self.fibers)))
+        return hash((self.module, self.fiber_primes))
+
+    def __repr__(self) -> str:
+        return f"Spectrum({self.module!r}, fiber_primes={sorted(self.fiber_primes)})"
+
+    def _checked(self, p: int, chunk) -> tuple[PrimeSubmodule, ...]:
+        expected = _fiber_size(self.module, p)
+        if len(chunk) != expected:
+            raise StrategyMismatchError(
+                f"fiber ({p}) of {self.module} has {len(chunk)} points, "
+                f"the closed-form count is {expected}"
+            )
+        return tuple(sorted(chunk, key=lambda ps: ps.sub.basis))
 
     @property
-    def fiber_primes(self) -> frozenset[int]:
-        return frozenset(p for p, _ in self.fibers)
+    def fibers(self) -> tuple[tuple[int, tuple[PrimeSubmodule, ...]], ...]:
+        return tuple((p, self.fiber(p)) for p in self._fibers)
 
     def fiber(self, p: int) -> tuple[PrimeSubmodule, ...]:
-        for q, primes in self.fibers:
-            if q == p:
-                return primes
-        return ()
+        if p not in self._fibers:
+            return ()
+        chunk = self._fibers[p]
+        if chunk is None:
+            chunk = self._fibers[p] = self._checked(p, _fiber_classified(self.module, p))
+        return chunk
 
     def primes(self) -> Iterator[PrimeSubmodule]:
-        for _, chunk in self.fibers:
-            yield from chunk
+        for p in self._fibers:
+            yield from self.fiber(p)
 
     def __len__(self) -> int:
-        return sum(len(chunk) for _, chunk in self.fibers)
+        return sum(
+            _fiber_size(self.module, p) if chunk is None else len(chunk)
+            for p, chunk in self._fibers.items()
+        )
 
     @property
     def is_empty(self) -> bool:
-        return len(self) == 0
+        return not self._fibers
 
     def open_set(self, primes) -> OpenSet:
         primes = frozenset(primes)
@@ -211,25 +248,48 @@ def _subspace_bases(p: int, s: int) -> Iterator[tuple[tuple[int, ...], ...]]:
                 yield tuple(tuple(r) for r in rows)
 
 
+def _gaussian_binomial(s: int, k: int, p: int) -> int:
+    """[s choose k]_p: the number of k-dimensional subspaces of F_p^s."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (s - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _fiber_size(module: FgModule, p: int) -> int:
+    """Points over (p): the proper subspaces of M/pM = F_p^s, where s counts
+    the invariant factors divisible by p."""
+    s = sum(1 for e in module.factors if e % p == 0)
+    return sum(_gaussian_binomial(s, k, p) for k in range(s))
+
+
 def _fiber_classified(module: FgModule, p: int) -> list[PrimeSubmodule]:
     # primes with characteristic ideal (p) are the pullbacks of the proper
-    # subspaces of M/pM
+    # subspaces of M/pM.  The pullback of a subspace with RREF basis B has
+    # the HNF rows: e_j where p does not divide the j-th factor (it already
+    # holds e_j*e_j and p*e_j), the lifted row of B at each pivot column,
+    # and p*e_j at every other coordinate; B's entries lie in [0, p), so
+    # each is reduced against the pivot p below it.
     d = module.rank
     torsion_idx = [i for i, e in enumerate(module.factors) if e % p == 0]
     s = len(torsion_idx)
-    p_rows = [tuple(p if j == i else 0 for j in range(d)) for i in range(d)]
+    char = ideal(module.ring, p)
+    base_rows = [
+        tuple((p if j in torsion_idx else 1) if c == j else 0 for c in range(d))
+        for j in range(d)
+    ]
     out = []
     for basis in _subspace_bases(p, s):
         if len(basis) == s:
             continue  # the full subspace pulls back to M itself
-        rows = list(p_rows)
+        rows = list(base_rows)
         for w in basis:
             vec = [0] * d
             for pos, val in zip(torsion_idx, w):
                 vec[pos] = val
-            rows.append(tuple(vec))
-        sub = submodule_from_lattice(module, rows)
-        out.append(PrimeSubmodule(sub, ideal(module.ring, p)))
+            rows[torsion_idx[w.index(1)]] = tuple(vec)
+        out.append(PrimeSubmodule(Submodule(module, tuple(rows)), char))
     return out
 
 
@@ -259,32 +319,24 @@ def spec_enumerate(
     if strategy not in ("bruteforce", "classified", "both"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    primes_by_fiber: dict[int, list[PrimeSubmodule]] = {}
-    if strategy in ("classified", "both"):
-        for p in module.relevant_primes():
-            primes_by_fiber[p] = _fiber_classified(module, p)
-    if strategy in ("bruteforce", "both"):
+    if strategy == "bruteforce":
+        by_fiber: dict[int, list[PrimeSubmodule]] = {}
+        for ps in _enumerate_bruteforce(module, subgroup_cap, card_cap):
+            by_fiber.setdefault(ps.char_prime, []).append(ps)
+        return Spectrum(module, by_fiber.items())
+    spectrum = Spectrum(module, ((p, None) for p in module.relevant_primes()))
+    if strategy == "both":
+        # brute force first: its caps refuse a large module before the
+        # classified fibers are built
         brute = _enumerate_bruteforce(module, subgroup_cap, card_cap)
-        if strategy == "both":
-            classified_set = {
-                (p, ps.sub) for p, chunk in primes_by_fiber.items() for ps in chunk
-            }
-            brute_set = {(ps.char_prime, ps.sub) for ps in brute}
-            if classified_set != brute_set:
-                raise StrategyMismatchError(
-                    f"spectrum strategies disagree on {module}: "
-                    f"classified={len(classified_set)} bruteforce={len(brute_set)}"
-                )
-        else:
-            for ps in brute:
-                primes_by_fiber.setdefault(ps.char_prime, []).append(ps)
-
-    fibers = tuple(
-        (p, tuple(sorted(chunk, key=lambda ps: ps.sub.basis)))
-        for p, chunk in sorted(primes_by_fiber.items())
-        if chunk
-    )
-    return Spectrum(module, fibers)
+        brute_set = {(ps.char_prime, ps.sub) for ps in brute}
+        classified_set = {(ps.char_prime, ps.sub) for ps in spectrum.primes()}
+        if classified_set != brute_set:
+            raise StrategyMismatchError(
+                f"spectrum strategies disagree on {module}: "
+                f"classified={len(classified_set)} bruteforce={len(brute_set)}"
+            )
+    return spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +481,7 @@ class NaturalMapResult:
     note: str = ""
 
 
-def natural_map(module: FgModule) -> NaturalMapResult:
+def natural_map(module: FgModule, spectrum: Spectrum | None = None) -> NaturalMapResult:
     if module.is_zero:
         return NaturalMapResult(
             module, (), (), True, note="zero module is primeful by convention"
@@ -444,7 +496,7 @@ def natural_map(module: FgModule) -> NaturalMapResult:
         )
     if not module.is_finite:
         raise UnsupportedModuleError("the natural map is enumerated for finite modules")
-    spectrum = spec_enumerate(module)
+    spectrum = spectrum if spectrum is not None else spec_enumerate(module)
     assignments = tuple((ps, ps.char_ideal) for ps in spectrum.primes())
     codomain = module.relevant_primes()
     hit = {ps.char_prime for ps in spectrum.primes()}

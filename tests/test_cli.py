@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
+from datetime import timedelta
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modspec.cli import (
     ModuleFileError,
@@ -267,3 +275,91 @@ def test_env_cap_override(capsys, z12, monkeypatch):
     code, report = run(capsys, ["sheaf", z12, "--open", "D(1)"])
     assert code == 1 and report["status"] == "error"
     assert "cap" in report["result"]["error"]
+
+
+# ---------------------------------------------------------------------------
+# over-cap inputs: exit 1 with the cap named and its value
+# ---------------------------------------------------------------------------
+
+CAP_SETTINGS = settings(max_examples=25, deadline=timedelta(seconds=10))
+
+
+@st.composite
+def chains(draw, max_len=3, max_card=512):
+    """Invariant-factor chains e_1 | e_2 | ... of bounded cardinality."""
+    factors = [draw(st.integers(2, 12))]
+    while len(factors) < max_len and draw(st.booleans()):
+        factors.append(factors[-1] * draw(st.integers(1, 4)))
+    if math.prod(factors) > max_card:
+        factors = factors[:1]
+    return factors
+
+
+def run_file(factors, argv, caps=None):
+    """Exit code and report of one CLI call on a Z-module file."""
+    data = {
+        "ring": {"kind": "Z"},
+        "module": {"kind": "invariant_factors", "factors": factors, "free_rank": 0},
+    }
+    if caps is not None:
+        data["caps"] = caps
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--quiet", argv[0], path, *argv[1:]])
+    return code, json.loads(out.getvalue())
+
+
+def assert_refused(code, report, text):
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == text
+
+
+@CAP_SETTINGS
+@given(chains(), st.data())
+def test_cardinality_cap_refuses(factors, data):
+    card = math.prod(factors)
+    cap = data.draw(st.integers(1, card - 1))
+    text = f"|M| = {card} exceeds the cardinality cap {cap}"
+    # spec reads the cap in the brute-force prime test, sheaf in psi
+    code, report = run_file(factors, ["spec"], caps={"cardinality": cap})
+    assert_refused(code, report, text)
+    code, report = run_file(factors, ["sheaf", "--open", "D(1)"], caps={"cardinality": cap})
+    assert_refused(code, report, text)
+
+
+@CAP_SETTINGS
+@given(chains(), st.data())
+def test_subgroup_enumeration_cap_refuses(factors, data):
+    card = math.prod(factors)
+    cap = data.draw(st.integers(1, card - 1))
+    code, report = run_file(factors, ["spec"], caps={"subgroup_enumeration": cap})
+    assert_refused(code, report, f"|M| = {card} exceeds the enumeration cap {cap}")
+
+
+@CAP_SETTINGS
+@given(chains(), st.data())
+def test_env_cardinality_cap_refuses(factors, data):
+    card = math.prod(factors)
+    cap = data.draw(st.integers(1, card - 1))
+    with mock.patch.dict(os.environ, {"MODSPEC_CARD_CAP": str(cap)}):
+        code, report = run_file(factors, ["sheaf", "--open", "D(1)"])
+    assert_refused(code, report, f"|M| = {card} exceeds the cardinality cap {cap}")
+
+
+@CAP_SETTINGS
+@given(
+    st.one_of(
+        st.integers(13, 16).map(lambda k: [2] * k),
+        st.integers(4097, 10**6).map(lambda n: [n]),
+        st.sampled_from([[3] * 8, [6] * 5, [2, 6, 30, 210]]),
+    )
+)
+def test_psi_default_cardinality_cap_refuses(factors):
+    # M_1 = M, so psi enumerates all of M
+    card = math.prod(factors)
+    code, report = run_file(factors, ["sheaf", "--open", "D(1)"])
+    assert_refused(code, report, f"|M| = {card} exceeds the cardinality cap 4096")

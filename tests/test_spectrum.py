@@ -1,7 +1,14 @@
-import pytest
+import json
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from modspec import spectrum as spectrum_module
 from modspec.arith import ZZ, Zmod, ideal
+from modspec.cli import main
+from modspec.corpus import finite_corpus
 from modspec.fgmodules import (
+    FgModule,
     UnsupportedModuleError,
     all_submodules,
     colon,
@@ -11,9 +18,16 @@ from modspec.fgmodules import (
     prufer_module,
     scalar_multiple_submodule,
     submodule_from_generators,
+    submodule_from_lattice,
     zero_module,
 )
+from modspec.sheaf import cover_decompose, psi_map, sections, stalk
 from modspec.spectrum import (
+    PrimeSubmodule,
+    StrategyMismatchError,
+    _fiber_classified,
+    _fiber_size,
+    _subspace_bases,
     basic_open,
     is_pradical,
     is_prime_submodule,
@@ -215,3 +229,221 @@ def test_natural_map_examples():
 @pytest.mark.parametrize("module", SMALL_CORPUS, ids=str)
 def test_finite_modules_are_primeful(module):
     assert natural_map(module).surjective
+
+
+def test_natural_map_reuses_a_given_spectrum():
+    m = from_cyclic_orders(ZZ, [2, 6])
+    spec = spec_enumerate(m, "both")
+    res = natural_map(m, spec)
+    assert res.surjective
+    assert tuple(ps for ps, _ in res.assignments) == tuple(spec.primes())
+
+
+# ---------------------------------------------------------------------------
+# fibers read straight in Hermite normal form
+# ---------------------------------------------------------------------------
+
+def fiber_via_lattice(module, p):
+    """Reference fiber: each subspace's pullback reduced by hnf."""
+    d = module.rank
+    torsion_idx = [i for i, e in enumerate(module.factors) if e % p == 0]
+    s = len(torsion_idx)
+    p_rows = [tuple(p if j == i else 0 for j in range(d)) for i in range(d)]
+    out = []
+    for basis in _subspace_bases(p, s):
+        if len(basis) == s:
+            continue  # the full subspace pulls back to M itself
+        rows = list(p_rows)
+        for w in basis:
+            vec = [0] * d
+            for pos, val in zip(torsion_idx, w):
+                vec[pos] = val
+            rows.append(tuple(vec))
+        sub = submodule_from_lattice(module, rows)
+        out.append(PrimeSubmodule(sub, ideal(module.ring, p)))
+    return out
+
+
+def assert_fibers_match_reference(module):
+    for p in module.relevant_primes():
+        assert _fiber_classified(module, p) == fiber_via_lattice(module, p), (str(module), p)
+
+
+def test_direct_hnf_matches_lattice_reduction_on_the_corpus():
+    for m in finite_corpus():
+        if not m.is_zero:
+            assert_fibers_match_reference(m)
+
+
+@given(
+    st.lists(st.integers(2, 60), min_size=1, max_size=4),
+    st.one_of(st.none(), st.integers(2, 360)),
+)
+@example([3, 6, 12], None)
+@example([3, 6, 12], 12)
+@settings(max_examples=150, deadline=None)
+def test_direct_hnf_matches_lattice_reduction_on_random_chains(orders, n):
+    m = from_cyclic_orders(ZZ if n is None else Zmod(n), orders)
+    if m.is_zero or any(_fiber_size(m, p) > 1200 for p in m.relevant_primes()):
+        return
+    assert_fibers_match_reference(m)
+
+
+def test_direct_hnf_keeps_the_factors_prime_to_p():
+    m = from_cyclic_orders(ZZ, [3, 6, 12])
+    assert m.factors == (3, 6, 12)
+    points = _fiber_classified(m, 2)
+    assert len(points) == 4  # the zero subspace and the three lines of F_2^2
+    for ps in points:
+        assert ps.sub.basis[0] == (1, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form point count
+# ---------------------------------------------------------------------------
+
+# proper subspaces of F_2^s: the Galois numbers 2, 5, 16, 67, 374, 2825 less one
+PROPER_SUBSPACES_OF_F2 = {1: 1, 2: 4, 3: 15, 4: 66, 5: 373, 6: 2824}
+
+ELEMENTARY = [(2, s) for s in range(1, 7)] + [(3, s) for s in range(1, 5)] + [(5, s) for s in range(1, 4)]
+
+
+@pytest.mark.parametrize("p, s", ELEMENTARY)
+def test_closed_form_count_of_elementary_abelian_groups(p, s):
+    m = FgModule(ZZ, (p,) * s)
+    count = _fiber_size(m, p)
+    assert count == len(_fiber_classified(m, p))
+    if p == 2:
+        assert count == PROPER_SUBSPACES_OF_F2[s]
+
+
+@pytest.mark.parametrize(
+    "ring, factors",
+    [
+        (ZZ, (2, 4, 12)),
+        (ZZ, (3, 6, 12)),
+        (ZZ, (2, 6, 30)),
+        (ZZ, (3, 3, 9, 45)),
+        (ZZ, (2, 2, 2, 4, 20)),
+        (Zmod(60), (2, 30, 60)),
+        (Zmod(36), (6, 6, 36)),
+    ],
+    ids=str,
+)
+def test_closed_form_count_of_mixed_chains(ring, factors):
+    m = FgModule(ring, factors)
+    for p in m.relevant_primes():
+        assert _fiber_size(m, p) == len(_fiber_classified(m, p))
+    assert len(spec_enumerate(m)) == sum(len(chunk) for _, chunk in spec_enumerate(m).fibers)
+
+
+def test_closed_form_count_matches_bruteforce_on_the_corpus():
+    for m in finite_corpus():
+        assert len(spec_enumerate(m)) == len(spec_enumerate(m, "both")), str(m)
+
+
+# ---------------------------------------------------------------------------
+# fibers are built only when asked for
+# ---------------------------------------------------------------------------
+
+TWO_FIBERS = FgModule(ZZ, (6, 12, 36))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The (module, p) of every fiber built, from a cold spectrum cache."""
+    calls = []
+    real = spectrum_module._fiber_classified
+
+    def counting(module, p):
+        calls.append((module, p))
+        return real(module, p)
+
+    monkeypatch.setattr(spectrum_module, "_fiber_classified", counting)
+    spec_enumerate.cache_clear()
+    yield calls
+    spec_enumerate.cache_clear()
+
+
+def test_opens_sections_psi_and_covers_build_no_fiber(built):
+    m = TWO_FIBERS
+    spec = spec_enumerate(m)
+    assert spec.fiber_primes == {2, 3}
+    assert len(spec) == 15 + 27  # proper subspaces of F_2^3 and of F_3^3
+    assert basic_open(2, m).fiber_primes == {3}
+    assert variety(scalar_multiple_submodule(3, m)).fiber_primes == {3}
+    assert sections(m, basic_open(1, m)).cardinality == m.cardinality
+    assert psi_map(m, 2).bijective
+    assert cover_decompose(m, 1, [4, 9]).covers_exactly
+    assert built == []
+
+
+def test_stalk_builds_only_its_fiber(built):
+    m = TWO_FIBERS
+    prime = spec_enumerate(m).fiber(3)[0]
+    spec_enumerate.cache_clear()
+    built.clear()
+    assert stalk(m, prime).bijective
+    assert built == [(m, 3)]
+
+
+def test_a_built_fiber_is_kept_until_the_cache_is_cleared(built):
+    m = TWO_FIBERS
+    spec = spec_enumerate(m)
+    points = sum(len(chunk) for _, chunk in spec.fibers)
+    assert points == len(spec)
+    assert list(spec.primes()) and spec.fiber(2)
+    assert built == [(m, 2), (m, 3)]
+    spec_enumerate.cache_clear()
+    fresh = spec_enumerate(m)
+    assert fresh is not spec and fresh == spec
+    assert len(fresh) == points and built == [(m, 2), (m, 3)]
+    fresh.fiber(3)
+    assert built == [(m, 2), (m, 3), (m, 3)]
+
+
+def test_a_fiber_of_the_wrong_size_is_refused(built, monkeypatch):
+    real = spectrum_module._fiber_classified
+    monkeypatch.setattr(spectrum_module, "_fiber_classified", lambda m, p: real(m, p)[1:])
+    spec = spec_enumerate(TWO_FIBERS)
+    with pytest.raises(StrategyMismatchError, match="closed-form count is 15"):
+        spec.fiber(2)
+
+
+def write_module(tmp_path, factors):
+    path = tmp_path / "m.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ring": {"kind": "Z"},
+                "module": {"kind": "invariant_factors", "factors": list(factors), "free_rank": 0},
+            }
+        )
+    )
+    return str(path)
+
+
+def test_cli_sheaf_and_cover_build_no_fiber(built, tmp_path, capsys):
+    path = write_module(tmp_path, TWO_FIBERS.factors)
+    assert main(["--quiet", "sheaf", path, "--open", "D(2)"]) == 0
+    assert main(["--quiet", "cover", path, "--f", "1", "--hs", "4,9"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_cli_sheaf_on_a_large_elementary_group_builds_no_fiber(built, tmp_path, capsys):
+    # Spec((Z/2)^10) has 229 755 604 points; D(3) is all of it
+    path = write_module(tmp_path, (2,) * 10)
+    assert main(["--quiet", "sheaf", path, "--open", "D(3)"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["open"]["fibers"] == [2]
+    assert report["result"]["psi"]["bijective"] is True
+    assert built == []
+
+
+def test_cli_spec_refuses_a_large_module_before_building_fibers(built, tmp_path, capsys):
+    path = write_module(tmp_path, (2,) * 10)
+    assert main(["--quiet", "spec", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["error"] == "|M| = 1024 exceeds the enumeration cap 512"
+    assert built == []
