@@ -4,8 +4,13 @@ Reports are deterministic: identical invocations produce byte-identical
 output (sorted keys, fixed seeds, no timestamps).  Integers beyond 2^53
 are emitted as decimal strings so downstream JSON tooling keeps exactness;
 inputs accept both forms.  Human-readable summaries go to stderr and are
-silenced by --quiet.  Exit codes: 0 ok, 1 usage or data error, 2 a
-verified property failed on the instance.
+silenced by --quiet.  Exit codes: 0 ok (also for --help), 1 usage or data
+error (a bad command line included), 2 a verified property failed on the
+instance.
+
+The argument parser is built once, when this module is imported, and
+every ``main`` call parses with it; argparse makes a fresh namespace per
+parse, so no argument carries over from one call to the next.
 """
 
 from __future__ import annotations
@@ -421,8 +426,18 @@ COMMANDS = {
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, not argparse's 2, which
+    this CLI keeps for a failed property.  Subcommand parsers inherit the
+    class through ``parser_class``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modspec",
         description="Exact prime spectra, localizations and structure sheaves "
         "of finitely generated modules over Z and Z/n.",
@@ -432,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=["bruteforce", "classified", "both"],
         default="both",
-        help="spectrum enumeration strategy (default: both, agreement enforced)",
+        help="spectrum enumeration strategy, read by spec and radical only "
+        "(default: both, agreement enforced)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -469,6 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def _emit(report: dict, quiet: bool) -> None:
     sys.stdout.write(json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n")
     if quiet:
@@ -481,8 +500,7 @@ def _emit(report: dict, quiet: bool) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     command = args.command
     inputs: dict = {"command": command}
     quiet = args.quiet

@@ -212,7 +212,14 @@ def is_prime_submodule(
         raise UnsupportedModuleError("the brute-force prime test needs a finite module")
     if sub.is_full:
         return None
-    coords_all = [x.coords for x in module.elements(cap)]
+    return _prime_characteristic(sub, module, [x.coords for x in module.elements(cap)])
+
+
+def _prime_characteristic(
+    sub: Submodule, module: FgModule, coords_all: list[tuple[int, ...]]
+) -> Ideal | None:
+    """The test of ``is_prime_submodule`` on a proper submodule of a finite
+    module, given the coordinates of every element of the module."""
     factors = module.factors
     member = frozenset(c for c in coords_all if lattice_contains(sub.basis, c))
 
@@ -295,8 +302,15 @@ def _fiber_classified(module: FgModule, p: int) -> list[PrimeSubmodule]:
 
 def _enumerate_bruteforce(module: FgModule, subgroup_cap: int, card_cap: int):
     out = []
+    coords_all = None
     for sub in all_submodules(module, subgroup_cap):
-        char = is_prime_submodule(sub, module, card_cap)
+        if sub.is_full:
+            continue
+        if coords_all is None:
+            # listed at the first proper submodule, once per enumeration, so
+            # the subgroup cap of all_submodules still refuses first
+            coords_all = [x.coords for x in module.elements(card_cap)]
+        char = _prime_characteristic(sub, module, coords_all)
         if char is not None:
             out.append(PrimeSubmodule(sub, char))
     return out

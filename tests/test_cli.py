@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from datetime import timedelta
 from unittest import mock
@@ -10,14 +13,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modspec
 from modspec.cli import (
     ModuleFileError,
+    build_parser,
     jsonable,
     load_module_file,
     main,
     module_to_json,
     parse_module_file,
 )
+
+SRC = os.path.dirname(os.path.dirname(modspec.__file__))
 
 
 @pytest.fixture
@@ -275,6 +282,99 @@ def test_env_cap_override(capsys, z12, monkeypatch):
     code, report = run(capsys, ["sheaf", z12, "--open", "D(1)"])
     assert code == 1 and report["status"] == "error"
     assert "cap" in report["result"]["error"]
+
+
+# ---------------------------------------------------------------------------
+# the parser: built once per process, exit 1 on a bad command line, and no
+# argument carried from one call to the next
+# ---------------------------------------------------------------------------
+
+def mixed_argvs(path):
+    return [
+        ["spec", path],
+        ["--strategy", "classified", "spec", path],
+        ["radical", path, "--submodule", ""],
+        ["colon", path, "--submodule", "2"],
+        ["pradical", path],
+        ["localize", path, "--at", "2"],
+        ["localize", path, "--invert", "3"],
+        ["--quiet", "sheaf", path, "--open", "D(2)"],
+        ["cover", path, "--f", "1", "--hs", "4,9"],
+        ["iso", path, "--f", "2", "--g", "10"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radical", "FILE"],
+        ["bogus", "FILE"],
+        ["cover", "FILE", "--f", "x", "--hs", "2"],
+        ["verify", "corpus", "--suite", "nope"],
+    ],
+    ids=["missing-submodule", "unknown-command", "non-integer-f", "unknown-suite"],
+)
+def test_usage_errors_exit_1(capsys, z12, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([z12 if a == "FILE" else a for a in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: modspec")
+    assert "error: " in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "read by spec and radical only" in " ".join(capsys.readouterr().out.split())
+
+
+def test_main_constructs_no_parser(capsys, z12, monkeypatch):
+    real = argparse.ArgumentParser.__init__
+    constructed = []
+
+    def counting(self, *args, **kwargs):
+        constructed.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser()
+    assert len(constructed) == 10  # the top level and nine subcommands
+    constructed.clear()
+    for argv in mixed_argvs(z12) * 2:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert constructed == []
+
+
+def test_no_argument_carries_over(capsys, z12):
+    run(capsys, ["--strategy", "classified", "spec", z12])
+    code, report = run(capsys, ["spec", z12])
+    assert code == 0
+    assert report["inputs"]["strategy"] == "both" and report["result"]["strategy"] == "both"
+
+    run(capsys, ["localize", z12, "--at", "2"])
+    code, report = run(capsys, ["localize", z12, "--invert", "3"])
+    assert code == 0
+    assert "at" not in report["inputs"] and report["inputs"]["invert"] == 3
+
+
+def test_report_after_other_commands_equals_a_first_run(capsys, z12):
+    argv = ["radical", z12, "--submodule", "4"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "modspec.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])},
+    )
+    assert fresh.returncode == 0
+    for other in mixed_argvs(z12):
+        main(other)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh.stdout
 
 
 # ---------------------------------------------------------------------------

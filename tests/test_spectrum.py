@@ -61,6 +61,26 @@ def test_is_prime_examples():
     assert is_prime_submodule(m.full_submodule()) is None
 
 
+def test_bruteforce_enumeration_lists_the_module_once(monkeypatch):
+    real = FgModule.elements
+    yielded = []
+
+    def counting(self, *args, **kwargs):
+        for x in real(self, *args, **kwargs):
+            yielded.append(x)
+            yield x
+
+    monkeypatch.setattr(FgModule, "elements", counting)
+    for module in SMALL_CORPUS:
+        for strategy in ("bruteforce", "both"):
+            spec_enumerate.cache_clear()
+            yielded.clear()
+            spectrum = spec_enumerate(module, strategy)
+            assert len(yielded) == module.cardinality, (str(module), strategy)
+            assert len(spectrum) == sum(_fiber_size(module, p) for p in spectrum.fiber_primes)
+    spec_enumerate.cache_clear()
+
+
 def test_is_prime_rejects_infinite():
     free = normalize(ZZ, 1, [])
     with pytest.raises(UnsupportedModuleError):
