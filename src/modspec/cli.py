@@ -519,10 +519,14 @@ def main(argv=None) -> int:
             module, caps = load_module_file(text)
             inputs["module"] = module_to_json(module)
         if caps:
-            inputs["caps"] = caps
+            # a copy: the override below applies to the run, not to the echo
+            inputs["caps"] = dict(caps)
         env_cap = os.environ.get("MODSPEC_CARD_CAP")
         if env_cap is not None:
-            caps["cardinality"] = int(env_cap)
+            try:
+                caps["cardinality"] = int(env_cap)
+            except ValueError:
+                raise ValueError(f"MODSPEC_CARD_CAP: expected an integer, got {env_cap!r}") from None
         for key, value in (
             ("f", getattr(args, "f", None)),
             ("g", getattr(args, "g", None)),

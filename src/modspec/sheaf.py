@@ -8,12 +8,20 @@ product of the fiber stalks.  Stalks, the comparison map from a localized
 module onto the sections of a basic open, the cover decomposition
 f^n = sum(r_i b_i), the localization isomorphism criterion and the sheaf
 axioms are all verified by finite enumeration.
+
+The sheaf-axiom check enumerates on integer codes rather than ``Section``
+objects.  A section over U is coded by its index in U's enumeration, a
+mixed-radix number over the stalk pools; restriction to V is a list from
+codes over U to codes over V, since it only drops fibers; addition and the
+scalars act digitwise through per-stalk tables.  Every coded map is checked
+against the public ``restrict`` and ``Section`` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterator
@@ -449,6 +457,55 @@ class SheafAxiomsReport:
         return not self.failures
 
 
+def _lift(tables, radices) -> list[int]:
+    """Map every code over an open digitwise: entry c is the code whose
+    digit at each stalk is ``table[d]`` for that stalk's digit d of c,
+    read in the target radices.  A stalk that is dropped has the table
+    [0, ..., 0] and radix 1.  Codes run in ``itertools.product`` order."""
+    codes = [0]
+    for table, radix in zip(tables, radices):
+        codes = [c * radix + t for c in codes for t in table]
+    return codes
+
+
+def _digits(code: int, radices: list[int]) -> list[int]:
+    out = []
+    for radix in reversed(radices):
+        code, d = divmod(code, radix)
+        out.append(d)
+    return out[::-1]
+
+
+def _addition_row(pool: list[ModElement], index: dict, x: int) -> list[int]:
+    """Digits of pool[x] + y for every y of one stalk, by ModElement
+    arithmetic."""
+    return [index[(pool[x] + y).coords] for y in pool]
+
+
+def _compatible_families(family, proj, sizes) -> list[tuple[int, ...]]:
+    """Every choice of one section code per member of ``family`` that agrees
+    on all pairwise meets.  Choices grow member by member; the next member
+    ranges over the preimage of the earlier members' values on its meets
+    with them.  A choice left out has a prefix that already disagrees, so
+    every element of the product of the members' sections is decided."""
+    found: list[tuple[int, ...]] = [()]
+    for j, o in enumerate(family):
+        meets = [o & family[i] for i in range(j)]
+        earlier = [(i, proj[family[i], w]) for i, w in enumerate(meets)]
+        preimages: dict[tuple, list[int]] = {}
+        if meets:
+            for c, key in enumerate(zip(*(proj[o, w] for w in meets))):
+                preimages.setdefault(key, []).append(c)
+        else:
+            preimages[()] = list(range(sizes[o]))
+        found = [
+            choice + (c,)
+            for choice in found
+            for c in preimages.get(tuple(col[choice[i]] for i, col in earlier), ())
+        ]
+    return found
+
+
 def sheaf_axioms_check(
     module: FgModule,
     cap: int = DEFAULT_CARDINALITY_CAP,
@@ -458,9 +515,25 @@ def sheaf_axioms_check(
 
     Checks the identity axiom (a section vanishing on a cover vanishes),
     unique gluing of compatible families, restriction transitivity, and
-    that restrictions are module homomorphisms.  Compatible families are
-    enumerated outright when the product of the section spaces is at most
-    ``family_limit``, and constructed fiberwise otherwise (a family is
+    that restrictions are module homomorphisms.
+
+    The checks run on integer codes.  A section over an open U is its
+    index in ``sections(module, U).elements()``: a mixed-radix number whose
+    digits are the positions of its values in the stalk pools, in
+    ``itertools.product`` order.  Restriction to V drops digits, so it is
+    a precomputed list ``proj[U, V]`` from codes over U to codes over V.
+    Addition and the scalars 0, 1, 2, 3, 5 act digitwise through per-stalk
+    tables built from ModElement arithmetic.  Every coded restriction is
+    checked against the public ``restrict`` on every section, and the coded
+    addition (on the first 1024 pairs of sections of each open, as for
+    additivity) and scalar action against the public ``Section`` operations,
+    so the coded transitivity and homomorphism checks carry over to the
+    public maps.
+
+    Compatible families are enumerated outright when the product of the
+    section spaces is at most ``family_limit``: a search member by member
+    through the preimages of the meets decides every element of that
+    product.  Otherwise they are constructed fiberwise (a family is
     pairwise compatible iff all members sharing a fiber agree there, since
     intersections retain whole fibers).
     """
@@ -472,146 +545,172 @@ def sheaf_axioms_check(
         raise UnsupportedModuleError("open lattice too large: more than 4 fibers")
     failures: list[str] = []
 
-    opens = []
-    for k in range(len(primes) + 1):
-        for combo in itertools.combinations(primes, k):
-            opens.append(spectrum.open_set(combo))
-    spaces = {o.fiber_primes: sections(module, o) for o in opens}
-    section_lists = {o.fiber_primes: list(spaces[o.fiber_primes].elements(cap)) for o in opens}
+    opens = [
+        frozenset(combo)
+        for k in range(len(primes) + 1)
+        for combo in itertools.combinations(primes, k)
+    ]
+    open_sets = {u: spectrum.open_set(u) for u in opens}
+    section_lists = {u: list(sections(module, open_sets[u]).elements(cap)) for u in opens}
+    sizes = {u: len(section_lists[u]) for u in opens}
+    subs = {u: [v for v in opens if v <= u] for u in opens}
 
-    # coordinate-dropping fast path for the inner loops; agreement with the
-    # public restriction map is part of the transitivity pass below
-    def restrictor(src_primes, dst_primes):
-        src, dst = spaces[src_primes], spaces[dst_primes]
-        pos = [i for i, (p, _) in enumerate(src.stalks) if p in dst_primes]
-        return lambda s: Section(dst, tuple(s.values[i] for i in pos))
-
-    drop = {
-        (u.fiber_primes, v.fiber_primes): restrictor(u.fiber_primes, v.fiber_primes)
-        for u in opens
-        for v in opens
-        if v.issubset(u)
+    # per-stalk digit tables; the full open's sections bound every pool
+    stalks = dict(sections(module, open_sets[opens[-1]]).stalks)
+    pools = {p: list(stalks[p].module.elements(cap)) for p in primes}
+    index = {p: {e.coords: i for i, e in enumerate(pools[p])} for p in primes}
+    radix = {p: len(pools[p]) for p in primes}
+    scalars = (0, 1, 2, 3, 5)
+    scale = {
+        (p, r): [index[p][e.scale(r).coords] for e in pools[p]]
+        for p in primes
+        for r in scalars
     }
+    zero = {p: index[p][stalks[p].module.zero_element().coords] for p in primes}
+    rows: dict[tuple[int, int], list[int]] = {}
 
-    # restriction transitivity and homomorphism property
+    def radices(u) -> list[int]:
+        return [radix[p] for p in sorted(u)]
+
+    def zero_code(u) -> int:
+        code = 0
+        for p in sorted(u):
+            code = code * radix[p] + zero[p]
+        return code
+
+    def sums_with(u, a: int) -> list[int]:
+        """Codes of a + t for every code t over u."""
+        tables = []
+        for p, d in zip(sorted(u), _digits(a, radices(u))):
+            if (p, d) not in rows:
+                rows[p, d] = _addition_row(pools[p], index[p], d)
+            tables.append(rows[p, d])
+        return _lift(tables, radices(u))
+
+    proj = {
+        (u, v): _lift(
+            [range(radix[p]) if p in v else [0] * radix[p] for p in sorted(u)],
+            [radix[p] if p in v else 1 for p in sorted(u)],
+        )
+        for u in opens
+        for v in subs[u]
+    }
+    scaled = {(u, r): _lift([scale[p, r] for p in sorted(u)], radices(u)) for u in opens for r in scalars}
+
+    # restriction transitivity on codes, and the codes against the public map
     transitivity_ok = True
+    for u in opens:
+        for v in subs[u]:
+            r_uv = proj[u, v]
+            for w in subs[v]:
+                if list(map(proj[v, w].__getitem__, r_uv)) != proj[u, w]:
+                    transitivity_ok = False
+                    failures.append(f"transitivity fails via {sorted(v)} -> {sorted(w)}")
+            secs_v = section_lists[v]
+            for s, c in zip(section_lists[u], r_uv):
+                if restrict(s, open_sets[v]) != secs_v[c]:
+                    transitivity_ok = False
+                    failures.append("coded restriction disagrees with the public map")
+
+    # homomorphism property on codes, and the coded arithmetic against the
+    # public one; the sampled pairs are the first 1024 of product(secs, secs)
     hom_ok = True
     for u in opens:
-        secs_u = section_lists[u.fiber_primes]
-        subs = [v for v in opens if v.issubset(u)]
-        for v in subs:
-            for w in [w for w in subs if w.issubset(v)]:
-                for s in secs_u:
-                    if restrict(restrict(s, v), w) != restrict(s, w):
-                        transitivity_ok = False
-                        failures.append(
-                            f"transitivity fails via {sorted(v.fiber_primes)} -> {sorted(w.fiber_primes)}"
-                        )
-            r_uv = drop[u.fiber_primes, v.fiber_primes]
-            for s in secs_u:
-                if r_uv(s) != restrict(s, v):
-                    transitivity_ok = False
-                    failures.append("fast restriction disagrees with the public map")
-            pairs = itertools.islice(itertools.product(secs_u, secs_u), 1024)
-            for s, t in pairs:
-                if r_uv(s + t) != r_uv(s) + r_uv(t):
+        secs = section_lists[u]
+        n = sizes[u]
+        for r in scalars:
+            if any(secs[c] != s.scale(r) for s, c in zip(secs, scaled[u, r])):
+                hom_ok = False
+                failures.append(f"coded scalar action disagrees with the public one over {sorted(u)}")
+        sums = []
+        for a in range(min(n, -(-1024 // n))):
+            row = sums_with(u, a)[: 1024 - a * n]
+            if any(secs[c] != secs[a] + t for t, c in zip(secs, row)):
+                hom_ok = False
+                failures.append(f"coded addition disagrees with the public sum over {sorted(u)}")
+            sums.append((a, row))
+        for v in subs[u]:
+            r_uv = proj[u, v]
+            for a, row in sums:
+                row_v = sums_with(v, r_uv[a])
+                if list(map(r_uv.__getitem__, row)) != list(map(row_v.__getitem__, r_uv[: len(row)])):
                     hom_ok = False
-                    failures.append(f"additivity fails on {sorted(v.fiber_primes)}")
+                    failures.append(f"additivity fails on {sorted(v)}")
                     break
-            for s in secs_u:
-                for r in (0, 1, 2, 3, 5):
-                    if r_uv(s.scale(r)) != r_uv(s).scale(r):
-                        hom_ok = False
-                        failures.append(f"scalar action fails on {sorted(v.fiber_primes)}")
+            for r in scalars:
+                if list(map(r_uv.__getitem__, scaled[u, r])) != list(map(scaled[v, r].__getitem__, r_uv)):
+                    hom_ok = False
+                    failures.append(f"scalar action fails on {sorted(v)}")
 
     # identity and gluing over every cover of every open
     identity_ok = True
     gluing_ok = True
     covers = 0
     exhaustive_covers = 0
-    nonempty = [o for o in opens if o.fiber_primes]
+    nonempty = [o for o in opens if o]
     for u in opens:
-        secs_u = section_lists[u.fiber_primes]
-        candidates = [o for o in nonempty if o.issubset(u)]
+        n = sizes[u]
+        candidates = [o for o in nonempty if o <= u]
+        # kernel[o]: bit a is set when section a restricts to zero on o
+        kernel = {}
+        for o in candidates:
+            z = zero_code(o)
+            kernel[o] = sum(1 << a for a, c in enumerate(proj[u, o]) if c == z)
+        only_zero = 1 << zero_code(u)
+        agree: dict[tuple, bool] = {}
         for k in range(len(candidates) + 1):
             for family in itertools.combinations(candidates, k):
-                covered = frozenset().union(*(o.fiber_primes for o in family)) if family else frozenset()
-                if covered != u.fiber_primes:
+                if frozenset().union(*family) != u:
                     continue
                 covers += 1
-                to_members = [drop[u.fiber_primes, o.fiber_primes] for o in family]
-                # index of restriction families; doubles as the identity
-                # check (only the zero section may restrict to all zeros)
-                index: dict[tuple, list[Section]] = {}
-                for s in secs_u:
-                    key = tuple(r(s) for r in to_members)
-                    index.setdefault(key, []).append(s)
-                    if all(r.is_zero for r in key) != s.is_zero:
-                        identity_ok = False
-                        failures.append(
-                            f"identity axiom fails over {sorted(u.fiber_primes)} "
-                            f"with cover {[sorted(o.fiber_primes) for o in family]}"
-                        )
-                if any(len(v) > 1 for v in index.values()):
-                    gluing_ok = False
-                    failures.append(
-                        f"gluing not unique over {sorted(u.fiber_primes)}"
-                    )
-                # gluing axiom: every compatible family has exactly one glue
-                total = 1
+                # only the zero section may restrict to zero on every member
+                vanishing = (1 << n) - 1
                 for o in family:
-                    total *= len(section_lists[o.fiber_primes])
-                if total <= family_limit:
+                    vanishing &= kernel[o]
+                if vanishing != only_zero:
+                    identity_ok = False
+                    failures.append(
+                        f"identity axiom fails over {sorted(u)} "
+                        f"with cover {[sorted(o) for o in family]}"
+                    )
+                # the family each section induces; distinct sections must
+                # induce distinct families
+                keys = list(zip(*(proj[u, o] for o in family))) if family else [()] * n
+                if len(set(keys)) != n:
+                    gluing_ok = False
+                    failures.append(f"gluing not unique over {sorted(u)}")
+                # gluing axiom: every compatible family has exactly one glue
+                if math.prod(sizes[o] for o in family) <= family_limit:
                     exhaustive_covers += 1
-                    compatible_count = 0
-                    meets = [
-                        (i, j, drop[family[i].fiber_primes, meet_fp], drop[family[j].fiber_primes, meet_fp])
-                        for i in range(len(family))
-                        for j in range(i + 1, len(family))
-                        for meet_fp in [family[i].fiber_primes & family[j].fiber_primes]
-                    ]
-                    for choice in itertools.product(
-                        *(section_lists[o.fiber_primes] for o in family)
-                    ):
-                        ok = True
-                        for i, j, ri, rj in meets:
-                            if ri(choice[i]) != rj(choice[j]):
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        compatible_count += 1
-                        if len(index.get(tuple(choice), ())) != 1:
-                            gluing_ok = False
-                            failures.append(
-                                f"no unique glue over {sorted(u.fiber_primes)} for "
-                                f"cover {[sorted(o.fiber_primes) for o in family]}"
-                            )
-                    # compatible families correspond to per-fiber choices,
-                    # i.e. to sections of U
-                    if family and compatible_count != len(secs_u):
+                    glues = Counter(keys)
+                    found = _compatible_families(family, proj, sizes)
+                    if any(glues[choice] != 1 for choice in found):
                         gluing_ok = False
                         failures.append(
-                            f"compatible family count {compatible_count} != "
-                            f"{len(secs_u)} over {sorted(u.fiber_primes)}"
+                            f"no unique glue over {sorted(u)} for "
+                            f"cover {[sorted(o) for o in family]}"
+                        )
+                    # compatible families correspond to per-fiber choices,
+                    # i.e. to sections of U
+                    if family and len(found) != n:
+                        gluing_ok = False
+                        failures.append(
+                            f"compatible family count {len(found)} != {n} over {sorted(u)}"
                         )
                 else:
                     # every compatible family is fiberwise consistent, hence
-                    # induced by a section; the index already shows each
+                    # induced by a section; the keys already show each
                     # induced family glues back uniquely, so verify the
                     # members are pairwise compatible
-                    for key in index:
-                        for (o1, s1), (o2, s2) in itertools.combinations(
-                            zip(family, key), 2
-                        ):
-                            meet_fp = o1.fiber_primes & o2.fiber_primes
-                            r1 = drop[o1.fiber_primes, meet_fp]
-                            r2 = drop[o2.fiber_primes, meet_fp]
-                            if r1(s1) != r2(s2):
-                                gluing_ok = False
-                                failures.append(
-                                    f"induced family incompatible over {sorted(u.fiber_primes)}"
-                                )
+                    for o1, o2 in itertools.combinations(family, 2):
+                        if (o1, o2) not in agree:
+                            w = o1 & o2
+                            agree[o1, o2] = list(map(proj[o1, w].__getitem__, proj[u, o1])) == list(
+                                map(proj[o2, w].__getitem__, proj[u, o2])
+                            )
+                        if not agree[o1, o2]:
+                            gluing_ok = False
+                            failures.append(f"induced family incompatible over {sorted(u)}")
     return SheafAxiomsReport(
         module=module,
         opens=len(opens),

@@ -284,6 +284,41 @@ def test_env_cap_override(capsys, z12, monkeypatch):
     assert "cap" in report["result"]["error"]
 
 
+def test_env_cap_is_not_echoed_into_inputs(capsys, tmp_path, monkeypatch):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    with_caps = module_file(tmp_path, {"kind": "Z"}, [12], caps={"subgroup_enumeration": 100})
+    without_caps = module_file(plain, {"kind": "Z"}, [12])
+    reports = []
+    for path in (with_caps, without_caps):
+        monkeypatch.delenv("MODSPEC_CARD_CAP", raising=False)
+        assert main(["localize", path, "--at", "2"]) == 0
+        unset = capsys.readouterr().out
+        monkeypatch.setenv("MODSPEC_CARD_CAP", "50")
+        assert main(["localize", path, "--at", "2"]) == 0
+        assert capsys.readouterr().out == unset
+        reports.append(json.loads(unset))
+    assert reports[0]["inputs"]["caps"] == {"subgroup_enumeration": 100}
+    assert "caps" not in reports[1]["inputs"]
+
+
+def test_env_cap_overrides_the_file_cap(capsys, tmp_path, monkeypatch):
+    path = module_file(tmp_path, {"kind": "Z"}, [12], caps={"cardinality": 100})
+    monkeypatch.setenv("MODSPEC_CARD_CAP", "4")
+    code, report = run(capsys, ["sheaf", path, "--open", "D(1)"])
+    assert code == 1
+    assert report["result"]["error"] == "|M| = 12 exceeds the cardinality cap 4"
+    assert report["inputs"]["caps"] == {"cardinality": 100}
+
+
+@pytest.mark.parametrize("value", ["x", "", "4.0", "1e3"])
+def test_non_integer_env_cap_is_a_structured_error(capsys, z12, monkeypatch, value):
+    monkeypatch.setenv("MODSPEC_CARD_CAP", value)
+    code, report = run(capsys, ["sheaf", z12, "--open", "D(1)"])
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == f"MODSPEC_CARD_CAP: expected an integer, got {value!r}"
+
+
 # ---------------------------------------------------------------------------
 # the parser: built once per process, exit 1 on a bad command line, and no
 # argument carried from one call to the next

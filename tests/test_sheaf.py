@@ -1,10 +1,14 @@
 import itertools
+import math
 
 import pytest
 
+from modspec import sheaf
 from modspec.arith import ZZ, Zmod, ideal
 from modspec.corpus import finite_corpus
 from modspec.fgmodules import (
+    DEFAULT_CARDINALITY_CAP,
+    UnsupportedModuleError,
     direct_sum,
     from_cyclic_orders,
     iso_class_equal,
@@ -17,6 +21,8 @@ from modspec.sheaf import (
     CoverError,
     Germ,
     RestrictionError,
+    Section,
+    SheafAxiomsReport,
     cover_decompose,
     iso_criterion,
     psi_map,
@@ -297,3 +303,313 @@ def test_sheaf_axioms_over_zmod():
 def test_sheaf_axioms_zero_module():
     report = sheaf_axioms_check(zero_module(ZZ))
     assert report.ok and report.opens == 1
+
+
+# ---------------------------------------------------------------------------
+# the coded sheaf-axiom check against the Section-level reference
+# ---------------------------------------------------------------------------
+
+def sheaf_axioms_reference(
+    module,
+    cap=DEFAULT_CARDINALITY_CAP,
+    family_limit=50_000,
+):
+    """Reference check: every axiom on Section objects, compatible families
+    enumerated over the whole product of the members' sections."""
+    if not module.is_finite:
+        raise UnsupportedModuleError("sheaf axioms are checked on finite modules")
+    spectrum = spec_enumerate(module)
+    primes = sorted(spectrum.fiber_primes)
+    if len(primes) > 4:
+        raise UnsupportedModuleError("open lattice too large: more than 4 fibers")
+    failures = []
+
+    opens = []
+    for k in range(len(primes) + 1):
+        for combo in itertools.combinations(primes, k):
+            opens.append(spectrum.open_set(combo))
+    spaces = {o.fiber_primes: sections(module, o) for o in opens}
+    section_lists = {o.fiber_primes: list(spaces[o.fiber_primes].elements(cap)) for o in opens}
+
+    def restrictor(src_primes, dst_primes):
+        src, dst = spaces[src_primes], spaces[dst_primes]
+        pos = [i for i, (p, _) in enumerate(src.stalks) if p in dst_primes]
+        return lambda s: Section(dst, tuple(s.values[i] for i in pos))
+
+    drop = {
+        (u.fiber_primes, v.fiber_primes): restrictor(u.fiber_primes, v.fiber_primes)
+        for u in opens
+        for v in opens
+        if v.issubset(u)
+    }
+
+    transitivity_ok = True
+    hom_ok = True
+    for u in opens:
+        secs_u = section_lists[u.fiber_primes]
+        subs = [v for v in opens if v.issubset(u)]
+        for v in subs:
+            for w in [w for w in subs if w.issubset(v)]:
+                for s in secs_u:
+                    if restrict(restrict(s, v), w) != restrict(s, w):
+                        transitivity_ok = False
+                        failures.append(
+                            f"transitivity fails via {sorted(v.fiber_primes)} -> {sorted(w.fiber_primes)}"
+                        )
+            r_uv = drop[u.fiber_primes, v.fiber_primes]
+            for s in secs_u:
+                if r_uv(s) != restrict(s, v):
+                    transitivity_ok = False
+                    failures.append("fast restriction disagrees with the public map")
+            pairs = itertools.islice(itertools.product(secs_u, secs_u), 1024)
+            for s, t in pairs:
+                if r_uv(s + t) != r_uv(s) + r_uv(t):
+                    hom_ok = False
+                    failures.append(f"additivity fails on {sorted(v.fiber_primes)}")
+                    break
+            for s in secs_u:
+                for r in (0, 1, 2, 3, 5):
+                    if r_uv(s.scale(r)) != r_uv(s).scale(r):
+                        hom_ok = False
+                        failures.append(f"scalar action fails on {sorted(v.fiber_primes)}")
+
+    identity_ok = True
+    gluing_ok = True
+    covers = 0
+    exhaustive_covers = 0
+    nonempty = [o for o in opens if o.fiber_primes]
+    for u in opens:
+        secs_u = section_lists[u.fiber_primes]
+        candidates = [o for o in nonempty if o.issubset(u)]
+        for k in range(len(candidates) + 1):
+            for family in itertools.combinations(candidates, k):
+                covered = frozenset().union(*(o.fiber_primes for o in family)) if family else frozenset()
+                if covered != u.fiber_primes:
+                    continue
+                covers += 1
+                to_members = [drop[u.fiber_primes, o.fiber_primes] for o in family]
+                index = {}
+                for s in secs_u:
+                    key = tuple(r(s) for r in to_members)
+                    index.setdefault(key, []).append(s)
+                    if all(r.is_zero for r in key) != s.is_zero:
+                        identity_ok = False
+                        failures.append(
+                            f"identity axiom fails over {sorted(u.fiber_primes)} "
+                            f"with cover {[sorted(o.fiber_primes) for o in family]}"
+                        )
+                if any(len(v) > 1 for v in index.values()):
+                    gluing_ok = False
+                    failures.append(f"gluing not unique over {sorted(u.fiber_primes)}")
+                total = 1
+                for o in family:
+                    total *= len(section_lists[o.fiber_primes])
+                if total <= family_limit:
+                    exhaustive_covers += 1
+                    compatible_count = 0
+                    meets = [
+                        (i, j, drop[family[i].fiber_primes, meet_fp], drop[family[j].fiber_primes, meet_fp])
+                        for i in range(len(family))
+                        for j in range(i + 1, len(family))
+                        for meet_fp in [family[i].fiber_primes & family[j].fiber_primes]
+                    ]
+                    for choice in itertools.product(
+                        *(section_lists[o.fiber_primes] for o in family)
+                    ):
+                        ok = True
+                        for i, j, ri, rj in meets:
+                            if ri(choice[i]) != rj(choice[j]):
+                                ok = False
+                                break
+                        if not ok:
+                            continue
+                        compatible_count += 1
+                        if len(index.get(tuple(choice), ())) != 1:
+                            gluing_ok = False
+                            failures.append(
+                                f"no unique glue over {sorted(u.fiber_primes)} for "
+                                f"cover {[sorted(o.fiber_primes) for o in family]}"
+                            )
+                    if family and compatible_count != len(secs_u):
+                        gluing_ok = False
+                        failures.append(
+                            f"compatible family count {compatible_count} != "
+                            f"{len(secs_u)} over {sorted(u.fiber_primes)}"
+                        )
+                else:
+                    for key in index:
+                        for (o1, s1), (o2, s2) in itertools.combinations(zip(family, key), 2):
+                            meet_fp = o1.fiber_primes & o2.fiber_primes
+                            r1 = drop[o1.fiber_primes, meet_fp]
+                            r2 = drop[o2.fiber_primes, meet_fp]
+                            if r1(s1) != r2(s2):
+                                gluing_ok = False
+                                failures.append(
+                                    f"induced family incompatible over {sorted(u.fiber_primes)}"
+                                )
+    return SheafAxiomsReport(
+        module=module,
+        opens=len(opens),
+        covers=covers,
+        exhaustive_covers=exhaustive_covers,
+        identity_ok=identity_ok,
+        gluing_ok=gluing_ok,
+        transitivity_ok=transitivity_ok,
+        homomorphism_ok=hom_ok,
+        failures=tuple(failures),
+    )
+
+
+def criterion_13_corpus():
+    return [m for m in finite_corpus() if len(spec_enumerate(m).fiber_primes) <= 4]
+
+
+@pytest.mark.parametrize(
+    "module",
+    # every twelfth module of the criterion-13 corpus (both base rings, 0 to
+    # 2 fibers), and (Z/6)^2; the reference takes about 2 s on them
+    criterion_13_corpus()[::12] + [from_cyclic_orders(ZZ, [6, 6])],
+    ids=str,
+)
+def test_coded_check_matches_the_reference(module):
+    assert sheaf_axioms_check(module) == sheaf_axioms_reference(module)
+
+
+def test_coded_check_counts_on_z30():
+    report = sheaf_axioms_check(from_cyclic_orders(ZZ, [30]))
+    assert (report.opens, report.covers, report.exhaustive_covers) == (8, 128, 117)
+    assert report.ok
+
+
+def test_four_fibers_finish():
+    # Z/210 has four one-point fibers: 16 opens and 210 global sections
+    report = sheaf_axioms_check(from_cyclic_orders(ZZ, [210]))
+    assert (report.opens, report.covers, report.exhaustive_covers) == (16, 32768, 1322)
+    assert report.ok
+
+
+def test_five_fibers_are_refused():
+    with pytest.raises(UnsupportedModuleError, match="more than 4 fibers"):
+        sheaf_axioms_check(from_cyclic_orders(ZZ, [2310]))
+
+
+@pytest.mark.parametrize("orders", [(6, 6), (12,), (30,)])
+def test_compatible_families_match_the_product_filter(orders):
+    # restrictions taken from the public map, and every cover whose product
+    # of section spaces stays small, searched against the full product
+    m = from_cyclic_orders(ZZ, orders)
+    spec = spec_enumerate(m)
+    primes = sorted(spec.fiber_primes)
+    opens = [
+        frozenset(c) for k in range(len(primes) + 1) for c in itertools.combinations(primes, k)
+    ]
+    secs = {u: list(sections(m, spec.open_set(u)).elements()) for u in opens}
+    proj = {
+        (u, v): [secs[v].index(restrict(s, spec.open_set(v))) for s in secs[u]]
+        for u in opens
+        for v in opens
+        if v <= u
+    }
+    sizes = {u: len(secs[u]) for u in opens}
+    searched = 0
+    for k in range(1, len(opens)):
+        for family in itertools.combinations(opens[1:], k):
+            if math.prod(sizes[o] for o in family) > 5000:
+                continue
+            expected = [
+                choice
+                for choice in itertools.product(*(range(sizes[o]) for o in family))
+                if all(
+                    proj[family[i], family[i] & family[j]][choice[i]]
+                    == proj[family[j], family[i] & family[j]][choice[j]]
+                    for i, j in itertools.combinations(range(len(family)), 2)
+                )
+            ]
+            assert sheaf._compatible_families(family, proj, sizes) == expected
+            searched += 1
+    assert searched >= 7
+
+
+def test_a_wrong_public_restriction_breaks_transitivity(monkeypatch):
+    m = from_cyclic_orders(ZZ, [6])
+    public = sheaf.restrict
+
+    def altered(section, smaller):
+        out = public(section, smaller)
+        if smaller.fiber_primes == {3} and out.values[0].coords == (1,):
+            stalk = out.values[0].parent
+            return Section(out.space, (stalk.element([2]),))
+        return out
+
+    monkeypatch.setattr(sheaf, "restrict", altered)
+    report = sheaf_axioms_check(m)
+    assert not report.transitivity_ok
+    assert report.identity_ok and report.gluing_ok and report.homomorphism_ok
+
+
+def test_a_corrupted_stalk_addition_breaks_the_homomorphism_check(monkeypatch):
+    m = from_cyclic_orders(ZZ, [6])
+    exact = sheaf._addition_row
+
+    def corrupted(pool, index, x):
+        row = exact(pool, index, x)
+        if len(pool) == 3 and x == 1:
+            row[0], row[1] = row[1], row[0]
+        return row
+
+    monkeypatch.setattr(sheaf, "_addition_row", corrupted)
+    report = sheaf_axioms_check(m)
+    assert not report.homomorphism_ok
+    assert report.identity_ok and report.gluing_ok and report.transitivity_ok
+
+
+def test_a_corrupted_section_sum_breaks_the_homomorphism_check(monkeypatch):
+    m = from_cyclic_orders(ZZ, [6])
+    exact = Section.__add__
+
+    def corrupted(self, other):
+        out = exact(self, other)
+        if len(out.values) == 2 and out.values[1].coords == (2,):
+            return out.scale(-1)
+        return out
+
+    monkeypatch.setattr(Section, "__add__", corrupted)
+    report = sheaf_axioms_check(m)
+    assert not report.homomorphism_ok
+    assert report.identity_ok and report.gluing_ok and report.transitivity_ok
+
+
+def test_restrictions_that_forget_fail_identity_and_gluing(monkeypatch):
+    # code every restriction to a proper open as zero: the sections of D(6)
+    # then vanish on the cover {D(2), D(3)} and glue from no family
+    exact = sheaf._lift
+
+    def forgetful(tables, radices):
+        codes = exact(tables, radices)
+        return [0] * len(codes) if 1 in radices else codes
+
+    monkeypatch.setattr(sheaf, "_lift", forgetful)
+    report = sheaf_axioms_check(from_cyclic_orders(ZZ, [6]))
+    assert not report.identity_ok and not report.gluing_ok
+    for start in ("identity axiom fails", "gluing not unique", "no unique glue"):
+        assert any(f.startswith(start) for f in report.failures), start
+
+
+def test_a_twisted_restriction_fails_the_fiberwise_gluing_check(monkeypatch):
+    # on Z/30, shift the coded restriction from {2, 3} to {2} (the only one
+    # whose digit tables are range(2) kept and a 3-element stalk dropped),
+    # so the families induced on {2, 3} and {2, 5} disagree on {2}; with
+    # family_limit=0 every cover takes the fiberwise branch
+    exact = sheaf._lift
+
+    def twisted(tables, radices):
+        codes = exact(tables, radices)
+        if list(radices) == [2, 1] and len(tables[1]) == 3:
+            return [(c + 1) % 2 for c in codes]
+        return codes
+
+    monkeypatch.setattr(sheaf, "_lift", twisted)
+    report = sheaf_axioms_check(from_cyclic_orders(ZZ, [30]), family_limit=0)
+    assert report.exhaustive_covers == 0
+    assert not report.gluing_ok
+    assert any(f.startswith("induced family incompatible") for f in report.failures)
