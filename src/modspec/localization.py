@@ -30,10 +30,8 @@ from .arith import (
     Ideal,
     Ring,
     ZZ,
-    coprime_part,
     ideal,
     is_prime,
-    p_part,
     prime_divisors,
     squarefree_kernel,
 )
@@ -85,28 +83,19 @@ class MultSet:
         if self.kind not in ("powers", "prime_complement"):
             raise ValueError(f"unknown multiplicative set kind {self.kind!r}")
 
-    def is_degenerate(self, base: Ring) -> bool:
-        """Does the set contain 0?"""
-        if self.kind == "prime_complement":
-            return False
-        f = base.reduce(self.value)
-        if base.modulus is None:
-            return f == 0
-        return all(f % p == 0 for p in prime_divisors(base.modulus))
-
     def localized_ring(self, base: Ring) -> Ring:
+        """The ring S^-1 R; ``inverted = 0`` marks a set that contains 0."""
         if base.is_localized:
             raise ValueError("localize over the base rings Z and Z/n")
         if self.kind == "powers":
-            if self.is_degenerate(base):
-                return Ring(modulus=base.modulus, inverted=0)
             f = base.reduce(self.value)
             if base.modulus is None:
-                return Ring(inverted=squarefree_kernel(f))
-            shared = math.prod(
-                p for p in prime_divisors(base.modulus) if f % p == 0
-            )
-            return Ring(modulus=base.modulus, inverted=shared)
+                return Ring(inverted=squarefree_kernel(f))  # 0 for f = 0
+            primes = prime_divisors(base.modulus)
+            shared = [p for p in primes if f % p == 0]
+            # f is nilpotent in Z/n iff every prime of n divides it
+            inverted = 0 if len(shared) == len(primes) else math.prod(shared)
+            return Ring(modulus=base.modulus, inverted=inverted)
         p = self.value
         if base.modulus is not None and (p == 0 or base.modulus % p):
             raise ValueError(f"({p}) is not a prime ideal of {base}")
@@ -248,10 +237,11 @@ class LocalizedModule:
 def localize(module: FgModule, mult_set: MultSet) -> LocalizedModule:
     """M_S in canonical form.
 
-    Finite M, powers of f: strip every prime p | f from the invariant
-    factors.  Complement of (p): keep the p-primary parts.  Free rank is
-    preserved under a localized base-ring descriptor.  The Pruefer group
-    follows its divisibility rules, and a degenerate S gives 0.
+    The torsion keeps the p-primary parts of M for the primes p that S
+    does not meet: those not dividing f for the powers of f, and p alone
+    for the complement of (p).  Free rank is preserved under a localized
+    base-ring descriptor.  The Pruefer group follows its divisibility
+    rules, and a degenerate S gives 0.
     """
     ring = module.ring
     loc_ring = mult_set.localized_ring(ring)
@@ -263,24 +253,14 @@ def localize(module: FgModule, mult_set: MultSet) -> LocalizedModule:
             dies = mult_set.value != q
         model = zero_module(ZZ) if dies else prufer_module(q)
         return LocalizedModule(loc_ring, model, module, (), mult_set)
-    if mult_set.is_degenerate(ring):
+    if loc_ring.inverted == 0:
         return LocalizedModule(loc_ring, zero_module(ring), module, (), mult_set)
     if mult_set.kind == "prime_complement" and mult_set.value == 0 and module.free_rank:
         raise UnsupportedModuleError(
             "localization of a positive-rank module at (0) leaves Z-modules"
         )
-
-    def strip(e: int) -> int:
-        if mult_set.kind == "powers":
-            return coprime_part(e, ring.reduce(mult_set.value))
-        p = mult_set.value
-        return p_part(e, p) if p else 1
-
-    kept = []
-    for i, e in enumerate(module.factors):
-        e2 = strip(e)
-        if e2 > 1:
-            kept.append((i, e2))
+    parts = [q for p, q in module.primary.items() if not mult_set.meets_prime(p, ring)]
+    kept = [(i, e) for i, e in enumerate(map(math.prod, zip(*parts))) if e > 1]
     nfac = len(module.factors)
     kept += [(nfac + i, 0) for i in range(module.free_rank)]
     factors = tuple(e for _, e in kept if e)
@@ -423,18 +403,6 @@ class PrimeCorrespondence:
     mult_set: MultSet
     localized: LocalizedModule
     pairs: tuple[tuple[PrimeSubmodule, PrimeSubmodule], ...]
-
-    def extend(self, prime: PrimeSubmodule) -> PrimeSubmodule:
-        for p, q in self.pairs:
-            if p == prime:
-                return q
-        raise KeyError("prime is not in the correspondence domain")
-
-    def contract(self, prime: PrimeSubmodule) -> PrimeSubmodule:
-        for p, q in self.pairs:
-            if q == prime:
-                return p
-        raise KeyError("prime is not in the correspondence codomain")
 
 
 def prime_correspondence(module: FgModule, mult_set: MultSet) -> PrimeCorrespondence:

@@ -32,7 +32,6 @@ from .arith import (
     bezout_decompose,
     ideal_radical,
     ideal_sum,
-    p_part,
     radical_membership_witness,
 )
 from .fgmodules import (
@@ -164,8 +163,8 @@ def sections(module: FgModule, open_set: OpenSet) -> SectionSpace:
     )
     # the carrier is the product of the stalks M_(p): its i-th invariant
     # factor is the product over the fibers p of the p-part of M's i-th
-    products = (math.prod(p_part(e, p) for p in open_set.fiber_primes) for e in module.factors)
-    carrier = FgModule(module.ring, tuple(c for c in products if c > 1))
+    parts = zip(*(module.primary[p] for p in open_set.fiber_primes))
+    carrier = FgModule(module.ring, tuple(c for c in map(math.prod, parts) if c > 1))
     return SectionSpace(open_set, stalks, carrier)
 
 
@@ -525,7 +524,7 @@ def sheaf_axioms_check(
     Addition and the scalars 0, 1, 2, 3, 5 act digitwise through per-stalk
     tables built from ModElement arithmetic.  Every coded restriction is
     checked against the public ``restrict`` on every section, and the coded
-    addition (on the first 1024 pairs of sections of each open, as for
+    addition (on at most 1024 pairs of sections of each open, as for
     additivity) and scalar action against the public ``Section`` operations,
     so the coded transitivity and homomorphism checks carry over to the
     public maps.
@@ -613,7 +612,8 @@ def sheaf_axioms_check(
                     failures.append("coded restriction disagrees with the public map")
 
     # homomorphism property on codes, and the coded arithmetic against the
-    # public one; the sampled pairs are the first 1024 of product(secs, secs)
+    # public one, on min(n^2, 1024) pairs a + t: the first summands a are
+    # spread evenly over the sections, each with a prefix of the t
     hom_ok = True
     for u in opens:
         secs = section_lists[u]
@@ -623,8 +623,10 @@ def sheaf_axioms_check(
                 hom_ok = False
                 failures.append(f"coded scalar action disagrees with the public one over {sorted(u)}")
         sums = []
-        for a in range(min(n, -(-1024 // n))):
-            row = sums_with(u, a)[: 1024 - a * n]
+        k = min(n, -(-1024 // n))
+        for j in range(k):
+            a = (2 * j + 1) * n // (2 * k)
+            row = sums_with(u, a)[: 1024 - j * n]
             if any(secs[c] != secs[a] + t for t, c in zip(secs, row)):
                 hom_ok = False
                 failures.append(f"coded addition disagrees with the public sum over {sorted(u)}")

@@ -267,7 +267,7 @@ def _gaussian_binomial(s: int, k: int, p: int) -> int:
 def _fiber_size(module: FgModule, p: int) -> int:
     """Points over (p): the proper subspaces of M/pM = F_p^s, where s counts
     the invariant factors divisible by p."""
-    s = sum(1 for e in module.factors if e % p == 0)
+    s = sum(q > 1 for q in module.primary.get(p, ()))
     return sum(_gaussian_binomial(s, k, p) for k in range(s))
 
 
@@ -279,7 +279,7 @@ def _fiber_classified(module: FgModule, p: int) -> list[PrimeSubmodule]:
     # and p*e_j at every other coordinate; B's entries lie in [0, p), so
     # each is reduced against the pivot p below it.
     d = module.rank
-    torsion_idx = [i for i, e in enumerate(module.factors) if e % p == 0]
+    torsion_idx = [i for i, q in enumerate(module.primary[p]) if q > 1]
     s = len(torsion_idx)
     char = ideal(module.ring, p)
     base_rows = [

@@ -1,13 +1,17 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from modspec import arith
 from modspec.arith import ZZ, Zmod, ideal
 from modspec.fgmodules import (
     CapExceededError,
+    FgModule,
     UnsupportedModuleError,
     all_submodules,
     colon,
@@ -21,6 +25,9 @@ from modspec.fgmodules import (
     submodule_from_generators,
     zero_module,
 )
+from modspec.localization import MultSet, localize
+from modspec.sheaf import sections
+from modspec.spectrum import is_pradical, prime_radical, spec_enumerate
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +364,85 @@ def test_prufer_rejects_submodule_algebra():
         submodule_from_generators(p, [])
     with pytest.raises(UnsupportedModuleError):
         list(all_submodules(p))
+
+
+# ---------------------------------------------------------------------------
+# the primary decomposition
+# ---------------------------------------------------------------------------
+
+def primes_dividing(n):
+    """The primes below 720 that divide n: all of them for the chains below."""
+    return [p for p in range(2, 720) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@given(
+    st.lists(st.integers(1, 400), max_size=4),
+    st.one_of(st.none(), st.integers(2, 720)),
+    st.integers(0, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_primary_parts_multiply_back_to_each_factor(orders, n, free_rank):
+    if n is None:
+        m = from_cyclic_orders(ZZ, orders, free_rank)
+    else:
+        m = from_cyclic_orders(Zmod(n), orders)
+    primary = m.primary
+    assert list(primary) == primes_dividing(m.factors[-1] if m.factors else 1)
+    for p, parts in primary.items():
+        assert len(parts) == len(m.factors)
+        for q in parts:
+            while q % p == 0:
+                q //= p
+            assert q == 1  # each part is a power of p
+    for i, e in enumerate(m.factors):
+        assert math.prod(parts[i] for parts in primary.values()) == e
+    assert m.primary is primary
+    with pytest.raises(TypeError):
+        primary[2] = ()
+
+
+def test_primary_of_the_zero_free_and_pruefer_modules():
+    assert dict(zero_module(ZZ).primary) == {}
+    assert dict(zero_module(Zmod(6)).primary) == {}
+    assert dict(from_cyclic_orders(ZZ, [], 2).primary) == {}
+    assert dict(from_cyclic_orders(ZZ, [12], 1).primary) == {2: (4,), 3: (3,)}
+    assert dict(from_cyclic_orders(ZZ, [2, 12]).primary) == {2: (2, 4), 3: (1, 3)}
+    with pytest.raises(UnsupportedModuleError):
+        prufer_module(3).primary
+
+
+def test_a_module_pickles_after_its_primary_parts_are_read():
+    m = from_cyclic_orders(Zmod(24), [2, 12])
+    assert m.primary
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and dict(copy.primary) == dict(m.primary)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(120)], ids=str)
+def test_one_factorization_of_the_exponent_per_module_object(monkeypatch, ring):
+    # exponent 60 is composite, so no prime test of a fiber prime repeats it
+    m = FgModule(ring, (2, 6, 60))
+    real = arith.factorize
+    calls = []
+
+    def counting(n, bound=arith.DEFAULT_FACTOR_BOUND):
+        calls.append(n)
+        return real(n, bound)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    caches = (spec_enumerate, localize, sections)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        primes = m.relevant_primes()
+        spectrum = spec_enumerate(m)
+        assert [p for p, _ in spectrum.fibers] == [2, 3, 5]
+        assert is_pradical(m).holds
+        prime_radical(m.zero_submodule())
+        for p in primes:
+            assert localize(m, MultSet.complement_of_prime(p)).factors
+            assert sections(m, spectrum.open_set({p})).carrier.factors
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert calls.count(m.exponent) == 1

@@ -1,12 +1,18 @@
-"""Every name a ``modspec`` module imports is used in that module.
+"""Every name a ``modspec`` module imports is used in that module, and
+every function it defines is referenced somewhere.
 
-``__init__.py`` is exempt: its imports are the package's public names.
-The library import also leaves the CLI out, so that the cost of building
-its argument parser falls on CLI callers only.
+``__init__.py`` is exempt from the import check: its imports are the
+package's public names.  A function or method counts as referenced when
+its name occurs in ``src/``, ``tests/`` or ``perfbench/`` as a name, an
+attribute, an imported name or a word of a string other than a docstring
+(``perfbench`` looks functions up by dotted strings); dunder methods are
+exempt.  The library import also leaves the CLI out, so that the cost of
+building its argument parser falls on CLI callers only.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +24,7 @@ import modspec
 SOURCES = sorted(
     p for p in Path(modspec.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+REPO = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +48,63 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_functions(defining: dict[str, str], referencing: list[str]) -> list[str]:
+    """``label:line name`` of each function or method defined in the
+    ``defining`` sources whose name no ``referencing`` source mentions."""
+    mentioned = set()
+    for source in referencing:
+        tree = ast.parse(source)
+        docstrings = {
+            id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)
+        }
+        for node in ast.walk(tree):
+            if id(node) in docstrings:
+                continue
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.alias):
+                mentioned.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                mentioned.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    out = []
+    for label, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and name not in mentioned:
+                    out.append(f"{label}:{node.lineno} {name}")
+    return sorted(out)
+
+
+def test_checker_sees_an_unreferenced_function():
+    defining = {
+        "m.py": (
+            "def used():\n    pass\n\n\ndef unused():\n    used()\n\n\n"
+            "class A:\n    def __len__(self):\n        return 0\n\n"
+            "    def method(self):\n        pass\n\n"
+            "    def by_string(self):\n        pass\n"
+        )
+    }
+    caller = '"""unused"""\nA().method()\nTRACED = ("m.A.by_string",)\n'
+    assert unreferenced_functions(defining, [defining["m.py"], caller]) == ["m.py:5 unused"]
+
+
+def test_every_function_is_referenced():
+    referencing = [
+        path.read_text(encoding="utf-8")
+        for tree in ("src", "tests", "perfbench")
+        for path in sorted((REPO / tree).rglob("*.py"))
+    ]
+    defining = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(Path(modspec.__file__).parent.glob("*.py"))
+    }
+    assert unreferenced_functions(defining, referencing) == []
 
 
 def test_library_import_leaves_out_the_cli():

@@ -563,6 +563,21 @@ def test_a_corrupted_stalk_addition_breaks_the_homomorphism_check(monkeypatch):
     assert report.identity_ok and report.gluing_ok and report.transitivity_ok
 
 
+def test_the_addition_sample_has_a_nonzero_first_summand(monkeypatch):
+    # the full open of Z/1024 has 1024 sections, so one first summand is
+    # sampled; the zero section would check only the sums 0 + t
+    exact = sheaf._addition_row
+    digits = []
+
+    def recording(pool, index, x):
+        digits.append(x)
+        return exact(pool, index, x)
+
+    monkeypatch.setattr(sheaf, "_addition_row", recording)
+    assert sheaf_axioms_check(from_cyclic_orders(ZZ, [1024])).ok
+    assert any(digits), digits
+
+
 def test_a_corrupted_section_sum_breaks_the_homomorphism_check(monkeypatch):
     m = from_cyclic_orders(ZZ, [6])
     exact = Section.__add__
