@@ -8,6 +8,12 @@ canonical coordinates; submodules are the sublattices of Z^(t+r) between the
 relation lattice and the full lattice, stored as row Hermite normal forms,
 so structural equality is submodule equality.
 
+Where the answer is diagonal it is read off the invariant factors, with no
+normal-form computation: the zero submodule is the relation lattice
+diag(e_i), already in HNF; fM is diag(gcd(f, e_i), |f|) with zero rows
+dropped; and the colon (N : M) of a full-rank diagonal basis is the lcm of
+its diagonal.  HNF and SNF serve every other submodule.
+
 A finite module is the direct sum of its p-primary parts, and the stalks,
 localizations and sections built on it are taken prime by prime.
 ``FgModule.primary`` is the one place that splits a module into those
@@ -208,7 +214,8 @@ class FgModule:
     def zero_submodule(self) -> Submodule:
         if self.is_prufer:
             return Submodule(self, None, "zero")
-        return Submodule(self, hnf(self.relation_rows(), self.rank))
+        # diag(e_1, ..., e_t) is already in HNF
+        return Submodule(self, self.relation_rows())
 
     def full_submodule(self) -> Submodule:
         if self.is_prufer:
@@ -471,11 +478,22 @@ def submodule_from_lattice(module: FgModule, rows: Iterable[Sequence[int]]) -> S
 
 
 def scalar_multiple_submodule(f: int, module: FgModule) -> Submodule:
-    """The submodule f*M."""
+    """The submodule f*M, read off the invariant factors.
+
+    Its lattice is spanned by the relations e_i and the f-multiples of the
+    coordinate vectors, so its HNF is diagonal: gcd(f, e_i) on the i-th
+    torsion coordinate and |f| on each free coordinate, with zero rows
+    dropped.  f = 0 gives the relation lattice, the zero submodule.
+    """
     if module.is_prufer:
         return Submodule(module, None, "full" if f != 0 else "zero")
-    return submodule_from_generators(
-        module, [g.scale(f) for g in module.generators()]
+    d = module.rank
+    pivots = [math.gcd(f, e) for e in module.factors] + [abs(f)] * module.free_rank
+    return Submodule(
+        module,
+        tuple(
+            tuple(a if j == i else 0 for j in range(d)) for i, a in enumerate(pivots) if a
+        ),
     )
 
 
@@ -484,7 +502,13 @@ def scalar_multiple_submodule(f: int, module: FgModule) -> Submodule:
 # ---------------------------------------------------------------------------
 
 def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
-    """(N : M) = Ann(M/N), via the Smith form of N's lattice basis."""
+    """(N : M) = Ann(M/N).
+
+    When N's basis is full-rank and diagonal, M/N = Z/a_1 + ... + Z/a_d
+    and the generator is lcm(a_1, ..., a_d), with no normal form.  Any
+    other basis goes through its Smith form: the largest Smith diagonal
+    entry, or 0 when N has rank below that of M.
+    """
     module = module or sub.parent
     if sub.parent != module:
         raise ValueError("submodule of a different module")
@@ -494,7 +518,12 @@ def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
     d = module.rank
     if d == 0:
         return ideal(module.ring, 1)
-    diag = smith_diagonal(sub.basis, d)
+    basis = sub.basis
+    if len(basis) == d and all(
+        x == 0 for i, row in enumerate(basis) for j, x in enumerate(row) if j != i
+    ):
+        return ideal(module.ring, math.lcm(*(row[i] for i, row in enumerate(basis))))
+    diag = smith_diagonal(basis, d)
     if len(diag) < d:
         return ideal(module.ring, 0)
     return ideal(module.ring, diag[-1])

@@ -52,12 +52,25 @@ class PrimeSubmodule:
     char_ideal: Ideal
 
     def __post_init__(self):
-        if not is_prime_ideal(self.char_ideal):
-            raise ValueError(f"characteristic ideal {self.char_ideal} is not prime")
+        _check_prime(self.char_ideal)
+
+    @classmethod
+    def _of_tested_prime(cls, sub: Submodule, char_ideal: Ideal) -> PrimeSubmodule:
+        """A point whose characteristic ideal the caller has already passed
+        through ``_check_prime``: the fields are set without repeating it."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "sub", sub)
+        object.__setattr__(point, "char_ideal", char_ideal)
+        return point
 
     @property
     def char_prime(self) -> int:
         return self.char_ideal.gen
+
+
+def _check_prime(char_ideal: Ideal) -> None:
+    if not is_prime_ideal(char_ideal):
+        raise ValueError(f"characteristic ideal {char_ideal} is not prime")
 
 
 class Spectrum:
@@ -282,6 +295,8 @@ def _fiber_classified(module: FgModule, p: int) -> list[PrimeSubmodule]:
     torsion_idx = [i for i, q in enumerate(module.primary[p]) if q > 1]
     s = len(torsion_idx)
     char = ideal(module.ring, p)
+    # every point of the fiber shares this ideal: test it once, not per point
+    _check_prime(char)
     base_rows = [
         tuple((p if j in torsion_idx else 1) if c == j else 0 for c in range(d))
         for j in range(d)
@@ -296,7 +311,7 @@ def _fiber_classified(module: FgModule, p: int) -> list[PrimeSubmodule]:
             for pos, val in zip(torsion_idx, w):
                 vec[pos] = val
             rows[torsion_idx[w.index(1)]] = tuple(vec)
-        out.append(PrimeSubmodule(Submodule(module, tuple(rows)), char))
+        out.append(PrimeSubmodule._of_tested_prime(Submodule(module, tuple(rows)), char))
     return out
 
 
@@ -419,7 +434,9 @@ def prime_radical(
         containing = [ps.sub for ps in spectrum.primes() if sub <= ps.sub]
         if not containing:
             return module.full_submodule()
-        return reduce(lambda a, b: a.intersect(b), containing)
+        # a <= b means a & b = a, and a's basis is already its HNF: only a
+        # point that cuts the running intersection down pays a Zassenhaus HNF
+        return reduce(lambda a, b: a if a <= b else a.intersect(b), containing)
     raise ValueError(f"unknown method {method!r}")
 
 
