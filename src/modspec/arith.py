@@ -319,13 +319,6 @@ class Ideal:
         m = self.ring.effective_modulus
         return self.gen == (0 if m is None else m)
 
-    def contains_ideal(self, other: Ideal) -> bool:
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-        a = 0 if self.is_zero else self.gen
-        b = 0 if other.is_zero else other.gen
-        return _divides(a, b)
-
     def contains_element(self, x: int) -> bool:
         ring = self.ring
         x = int(x)

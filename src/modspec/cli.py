@@ -295,7 +295,7 @@ def cmd_spec(module, args, caps):
 
 def cmd_radical(module, args, caps):
     sub = _parse_submodule(module, args.submodule)
-    method = "both" if args.strategy == "both" else "closed_form"
+    method = "closed_form" if args.strategy == "classified" else args.strategy
     rad = prime_radical(sub, module, method)
     return {
         "submodule": submodule_json(sub),
@@ -364,7 +364,10 @@ def cmd_sheaf(module, args, caps):
 
 
 def cmd_cover(module, args, caps):
-    hs = [int(h) for h in args.hs.split(",") if h.strip()]
+    try:
+        hs = [int(h) for h in args.hs.split(",") if h.strip()]
+    except ValueError as exc:
+        raise ModuleFileError("--hs", f"non-integer scalar in {args.hs!r}") from exc
     dec = cover_decompose(module, args.f, hs)
     return {
         "f": args.f,
@@ -488,15 +491,24 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-def _emit(report: dict, quiet: bool) -> None:
+def _report(inputs: dict, result: dict, status: str, quiet: bool) -> int:
+    """Write the report of one command to stdout, its summary line to
+    stderr unless quiet, and return the exit code of its status."""
+    command = inputs["command"]
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "inputs": inputs,
+        "result": result,
+        "status": status,
+    }
     sys.stdout.write(json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n")
-    if quiet:
-        return
-    status = report["status"]
-    line = f"modspec {report['command']}: {status}"
-    if status == "violation":
-        line += " (a verified property failed; see the report)"
-    print(line, file=sys.stderr)
+    if not quiet:
+        line = f"modspec {command}: {status}"
+        if status == "violation":
+            line += " (a verified property failed; see the report)"
+        print(line, file=sys.stderr)
+    return {"ok": 0, "error": 1, "violation": 2}[status]
 
 
 def main(argv=None) -> int:
@@ -543,38 +555,12 @@ def main(argv=None) -> int:
 
         result = COMMANDS[command](module, args, caps)
     except (ModuleFileError, CoverError, UnsupportedModuleError, CapExceededError, ValueError) as exc:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "inputs": inputs,
-            "result": {"error": str(exc)},
-            "status": "error",
-        }
-        _emit(report, quiet)
-        return 1
+        return _report(inputs, {"error": str(exc)}, "error", quiet)
     except PropertyViolation as exc:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "inputs": inputs,
-            "result": {"violation": str(exc)},
-            "status": "violation",
-        }
-        _emit(report, quiet)
-        return 2
+        return _report(inputs, {"violation": str(exc)}, "violation", quiet)
 
-    status = "ok"
-    if command == "verify" and any(r["failures"] for r in result["suites"]):
-        status = "violation"
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "status": status,
-    }
-    _emit(report, quiet)
-    return 0 if status == "ok" else 2
+    failed = command == "verify" and any(r["failures"] for r in result["suites"])
+    return _report(inputs, result, "violation" if failed else "ok", quiet)
 
 
 if __name__ == "__main__":

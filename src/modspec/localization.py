@@ -184,6 +184,14 @@ class LocalizedModule:
             raise UnsupportedModuleError("elementwise projection needs a finite source")
         return self.module.element([elem.coords[i] % e for i, e in self.kept])
 
+    def lift(self, coords) -> tuple[int, ...]:
+        """Source coordinates of the canonical lift of model coordinates:
+        each kept coordinate in place, 0 at every other."""
+        out = [0] * self.source.rank
+        for (i, _), c in zip(self.kept, coords):
+            out[i] = c
+        return tuple(out)
+
     def project_fraction(self, elem: ModElement, s: int) -> ModElement:
         """Image of the fraction elem/s, for s in the multiplicative set."""
         img = self.project(elem)
@@ -206,12 +214,7 @@ class LocalizedModule:
             raise ValueError("submodule of the wrong model")
         d = self.source.rank
         kept_pos = {i for i, _ in self.kept}
-        rows = []
-        for row in sub.basis:
-            vec = [0] * d
-            for (i, _), x in zip(self.kept, row):
-                vec[i] = x
-            rows.append(tuple(vec))
+        rows = [self.lift(row) for row in sub.basis]
         for i in range(d):
             if i not in kept_pos:
                 rows.append(tuple(1 if j == i else 0 for j in range(d)))
@@ -276,10 +279,7 @@ def relocalize(elem: ModElement, src: LocalizedModule, dst: LocalizedModule) -> 
     """
     if src.source != dst.source:
         raise ValueError("localizations of different sources")
-    coords = [0] * src.source.rank
-    for (i, _), c in zip(src.kept, elem.coords):
-        coords[i] = c
-    return dst.project(src.source.element(coords))
+    return dst.project(src.source.element(src.lift(elem.coords)))
 
 
 # ---------------------------------------------------------------------------

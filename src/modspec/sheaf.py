@@ -313,10 +313,7 @@ def psi_map(module: FgModule, f: int, cap: int = DEFAULT_CARDINALITY_CAP) -> Psi
     images = set()
     for y in domain.module.elements(cap):
         # y is the class of m/1 for the canonical lift m
-        lift = [0] * module.rank
-        for (i, _), c in zip(domain.kept, y.coords):
-            lift[i] = c
-        m = module.element(lift)
+        m = module.element(domain.lift(y.coords))
         values = {p: loc.project(m) for p, loc in space.stalks}
         s = space.section(values)
         assignments.append((y, s))

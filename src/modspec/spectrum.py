@@ -9,22 +9,26 @@ p*M <= P < M, which walks the proper subspaces of the vector space M/pM.
 The two must agree; "both" enforces that.
 
 Opens, varieties and sections depend on the spectrum only through its
-fiber set, so the classified spectrum is lazy: its fibers are the relevant
-primes, and a fiber's points are built on first use.  Until then its size
-is the closed-form count of proper subspaces of F_p^s, a sum of Gaussian
-binomials; a built fiber is checked against it.  Each point's HNF is read
-off the reduced-row-echelon basis of its subspace, with no lattice
-reduction.
+fiber set.  For a finite module N + pM is proper exactly when p divides
+[M : N], so V(N) is the set of fibers (p) with p | [M : N], and the prime
+radical is rad(N) = N + rM, with r the product of those p; neither needs
+a colon ideal or a point.  The classified spectrum is lazy: its fibers
+are the relevant primes, and a fiber's points are built on first use.
+Until then its size is the closed-form count of proper subspaces of
+F_p^s, a sum of Gaussian binomials; a built fiber is checked against it.
+Each point's HNF is read off the reduced-row-echelon basis of its
+subspace, with no lattice reduction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterator
 
-from .arith import Ideal, ideal, ideal_radical, is_prime_ideal
+from .arith import Ideal, ideal, is_prime_ideal
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
     DEFAULT_SUBGROUP_CAP,
@@ -192,12 +196,10 @@ class OpenSet:
 
 @dataclass(frozen=True)
 class ClosedSet:
-    """Variety V(N), stored by its fiber set; carries sqrt((N:M)) when built
-    from a submodule (informational, excluded from equality)."""
+    """Zariski-closed subset of Spec(M), such as V(N): a union of whole fibers."""
 
     spectrum: Spectrum
     fiber_primes: frozenset[int]
-    defining_ideal: Ideal | None = field(default=None, compare=False)
 
     def complement(self) -> OpenSet:
         return OpenSet(self.spectrum, self.spectrum.fiber_primes - self.fiber_primes)
@@ -375,14 +377,17 @@ def spec_enumerate(
 def variety(
     sub: Submodule, module: FgModule | None = None, spectrum: Spectrum | None = None
 ) -> ClosedSet:
-    """V(N): the fibers (p) with (N:M) <= (p)."""
+    """V(N): the fibers (p) of the spectrum with p | [M : N].
+
+    A (p)-prime contains N exactly when N + pM is proper, that is when p
+    divides the order of M/N; the index is read only for a nonempty
+    spectrum, so the primeless Pruefer group never asks for one.
+    """
     module = module if module is not None else sub.parent
     spectrum = spectrum if spectrum is not None else spec_enumerate(module)
-    c = colon(sub, module)
-    primes = frozenset(
-        p for p in spectrum.fiber_primes if ideal(module.ring, p).contains_ideal(c)
+    return ClosedSet(
+        spectrum, frozenset(p for p in spectrum.fiber_primes if sub.index() % p == 0)
     )
-    return ClosedSet(spectrum, primes, ideal_radical(c))
 
 
 def basic_open(
@@ -403,9 +408,10 @@ def prime_radical(
     """Intersection of the primes containing N; M itself when none exist.
 
     Two implementations: "bruteforce" intersects over the enumerated
-    spectrum; "closed_form" evaluates the finite intersection of the
-    N + pM over the relevant primes p with N + pM proper.  "both" runs
-    the two and insists they agree.
+    spectrum; "closed_form" returns N + rM, where r is the product of the
+    relevant primes p dividing [M : N].  Those are the p with N + pM
+    proper, and their intersection is N + rM because M/N is the direct sum
+    of its primary parts.  "both" runs the two and insists they agree.
     """
     module = module if module is not None else sub.parent
     if module.is_prufer:
@@ -421,14 +427,11 @@ def prime_radical(
             )
         return closed
     if method == "closed_form":
-        terms = []
-        for p in module.relevant_primes():
-            t = sub.add(scalar_multiple_submodule(p, module))
-            if not t.is_full:
-                terms.append(t)
-        if not terms:
-            return module.full_submodule()
-        return reduce(lambda a, b: a.intersect(b), terms)
+        index = sub.index()
+        rm = scalar_multiple_submodule(
+            math.prod(p for p in module.primary if index % p == 0), module
+        )
+        return sub if rm <= sub else sub.add(rm)
     if method == "bruteforce":
         spectrum = spec_enumerate(module)
         containing = [ps.sub for ps in spectrum.primes() if sub <= ps.sub]

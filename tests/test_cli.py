@@ -142,6 +142,30 @@ def test_radical_and_colon_commands(capsys, z12):
     assert report["result"]["colon_ideal"]["generator"] == 2
 
 
+@pytest.mark.parametrize(
+    "strategy, method",
+    [("bruteforce", "bruteforce"), ("classified", "closed_form"), ("both", "both")],
+)
+def test_radical_honours_the_strategy(capsys, z12, strategy, method):
+    code, report = run(capsys, ["--strategy", strategy, "radical", z12, "--submodule", "4"])
+    assert code == 0 and report["result"]["method"] == method
+    assert report["result"]["prime_radical"]["order"] == 6  # 4M + 6M = 2M
+
+
+def test_radical_bruteforce_builds_the_spectrum(capsys, z12, monkeypatch):
+    from modspec import spectrum
+
+    spectrum.spec_enumerate.cache_clear()
+    monkeypatch.setattr(spectrum, "_fiber_classified", mock.Mock(wraps=spectrum._fiber_classified))
+    try:
+        run(capsys, ["--strategy", "classified", "radical", z12, "--submodule", "4"])
+        assert spectrum._fiber_classified.call_count == 0
+        run(capsys, ["--strategy", "bruteforce", "radical", z12, "--submodule", "4"])
+        assert spectrum._fiber_classified.call_count == 2
+    finally:
+        spectrum.spec_enumerate.cache_clear()
+
+
 def test_pradical_command(capsys, prufer3):
     code, report = run(capsys, ["pradical", prufer3])
     assert code == 0 and report["status"] == "ok"
@@ -260,6 +284,13 @@ def test_cover_precondition_error(capsys, tmp_path):
     )
     code, report = run(capsys, ["cover", str(z6), "--f", "1", "--hs", "2"])
     assert code == 1 and report["status"] == "error"
+
+
+@pytest.mark.parametrize("hs", ["2,x", "4,9.5", "four"])
+def test_non_integer_hs_names_the_flag(capsys, z12, hs):
+    code, report = run(capsys, ["cover", z12, "--f", "1", "--hs", hs])
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == f"--hs: non-integer scalar in {hs!r}"
 
 
 def test_reports_are_byte_identical(capsys, z12):

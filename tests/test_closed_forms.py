@@ -1,7 +1,8 @@
-"""The diagonal closed forms for fM, the zero submodule and (N : M), and the
-one-test-per-fiber prime check, against the general normal-form code they
-replace."""
+"""The diagonal closed forms for fM, the zero submodule and (N : M), V(N)
+and the closed-form prime radical read off [M : N], and the
+one-test-per-fiber prime check, against the general code they replace."""
 
+import dataclasses
 from functools import reduce
 
 import pytest
@@ -24,11 +25,14 @@ from modspec.fgmodules import (
 )
 from modspec.lattices import hnf, smith_diagonal
 from modspec.spectrum import (
+    ClosedSet,
     PrimeSubmodule,
     _enumerate_bruteforce,
     _fiber_classified,
+    basic_open,
     prime_radical,
     spec_enumerate,
+    variety,
 )
 
 
@@ -63,6 +67,21 @@ def prime_radical_reference(sub, module):
     if not containing:
         return module.full_submodule()
     return reduce(lambda a, b: a.intersect(b), containing)
+
+
+def variety_reference(sub, module):
+    """V(N) as the fibers (p) that contain the colon ideal (N : M)."""
+    c = colon(sub, module)
+    return frozenset(p for p in spec_enumerate(module).fiber_primes if c.gen % p == 0)
+
+
+def closed_form_radical_reference(sub, module):
+    """The intersection of the proper N + pM over the relevant primes p."""
+    terms = [sub.add(scalar_multiple_submodule(p, module)) for p in module.relevant_primes()]
+    terms = [t for t in terms if not t.is_full]
+    if not terms:
+        return module.full_submodule()
+    return reduce(lambda a, b: a.intersect(b), terms)
 
 
 @pytest.fixture
@@ -212,6 +231,77 @@ def test_bruteforce_prime_radical_intersects_only_what_cuts(monkeypatch):
     # 373 of the 2 824 points of Spec((Z/2)^6) contain sub; a few cut the
     # running intersection down, and the rest already contain it
     assert 0 < len(calls) <= 10
+
+
+# ---------------------------------------------------------------------------
+# V(N) and the closed-form prime radical off the primes dividing [M : N]
+# ---------------------------------------------------------------------------
+
+def assert_index_rule(sub, m):
+    assert variety(sub, m).fiber_primes == variety_reference(sub, m), (str(m), sub.basis)
+    rad = prime_radical(sub, m)
+    assert rad == closed_form_radical_reference(sub, m), (str(m), sub.basis)
+    assert variety(rad, m) == variety(sub, m)
+
+
+@given(
+    st.lists(st.integers(1, 400), max_size=4),
+    st.one_of(st.none(), st.integers(2, 720), st.sampled_from([2, 3, 5, 7, 11, 13, 719])),
+    st.lists(st.lists(st.integers(-10**4, 10**4), min_size=4, max_size=4), max_size=3),
+)
+@example([], 7, [])
+@example([7, 7], 7, [[1, 2, 0, 0]])
+@example([2, 6, 30], None, [[1, 1, 1, 0]])
+@example([4, 12], 24, [[2, 3, 0, 0], [0, 6, 0, 0]])
+@settings(max_examples=300, deadline=None)
+def test_index_rule_matches_the_colon_and_the_intersection(orders, n, rows):
+    m = chain_module(orders, n, 0)
+    sub = submodule_from_generators(m, [m.element(row[: m.rank]) for row in rows])
+    assert_index_rule(sub, m)
+    assert_index_rule(m.zero_submodule(), m)
+    assert_index_rule(m.full_submodule(), m)
+
+
+def test_index_rule_on_the_corpus():
+    for m in finite_corpus():
+        # every submodule of the small modules, a spread sample of the rest
+        subs = list(all_submodules(m))
+        if m.cardinality > 64:
+            subs = subs[::16] + [m.zero_submodule()]
+        for sub in subs:
+            assert_index_rule(sub, m)
+
+
+def test_variety_and_basic_open_read_no_colon(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "colon", None)  # any call would raise
+    m = from_cyclic_orders(ZZ, [2, 6, 30])
+    assert variety(m.zero_submodule()).fiber_primes == {2, 3, 5}
+    assert variety(scalar_multiple_submodule(3, m)).fiber_primes == {3}
+    assert basic_open(10, m).fiber_primes == {3}
+    assert [f.name for f in dataclasses.fields(ClosedSet)] == ["spectrum", "fiber_primes"]
+    # the primeless Pruefer group asks no index of its submodules
+    p = prufer_module(5)
+    assert variety(p.zero_submodule()).is_empty and basic_open(5, p).is_empty
+
+
+def test_closed_form_radical_adds_once_and_never_intersects(monkeypatch):
+    calls = []
+    for kernel in ("lattice_sum", "lattice_intersection"):
+        real = getattr(lattices, kernel)
+        monkeypatch.setattr(
+            f"modspec.fgmodules.{kernel}",
+            lambda *args, _k=kernel, _r=real: calls.append(_k) or _r(*args),
+        )
+    for m in (from_cyclic_orders(ZZ, [2, 6, 30]), from_cyclic_orders(Zmod(60), [2, 60])):
+        for sub in list(all_submodules(m))[::7]:
+            calls.clear()
+            prime_radical(sub, m, "closed_form")
+            assert calls in ([], ["lattice_sum"]), (str(m), sub.basis)
+    # N already prime-radical: rM <= N, and N is returned with no sum
+    m = from_cyclic_orders(ZZ, [2, 6, 30])
+    pm = scalar_multiple_submodule(2, m)
+    calls.clear()
+    assert prime_radical(pm, m) is pm and calls == []
 
 
 # ---------------------------------------------------------------------------

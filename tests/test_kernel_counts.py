@@ -1,7 +1,7 @@
-"""How many HNF, Smith-form and lattice-intersection calls a cold CLI query
-makes.  The counts are exact and timer-free: each kernel is wrapped at every
-binding in ``modspec`` and every cache is cleared before the query, as a
-fresh process would start."""
+"""How many HNF, Smith-form, lattice-intersection and factorization calls a
+cold CLI query makes.  The counts are exact and timer-free: each kernel is
+wrapped at every binding in ``modspec`` and every cache is cleared before
+the query, as a fresh process would start."""
 
 import json
 import sys
@@ -10,7 +10,7 @@ import pytest
 
 import modspec
 import modspec.cli
-from modspec import lattices
+from modspec import arith, lattices
 
 KERNELS = ("hnf", "smith_column_orders", "lattice_intersection")
 ORIGINALS = {kernel: getattr(lattices, kernel) for kernel in KERNELS}
@@ -25,11 +25,9 @@ def modspec_modules():
     ]
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    counts = dict.fromkeys(KERNELS, 0)
-    for kernel in KERNELS:
-        real = ORIGINALS[kernel]
+def count_calls(monkeypatch, originals):
+    counts = dict.fromkeys(originals, 0)
+    for kernel, real in originals.items():
 
         def counting(*args, _real=real, _kernel=kernel):
             counts[_kernel] += 1
@@ -43,6 +41,16 @@ def kernel_calls(monkeypatch):
                     bound += 1
         assert bound >= 1
     return counts
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    return count_calls(monkeypatch, ORIGINALS)
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    return count_calls(monkeypatch, {"factorize": arith.factorize})
 
 
 def clear_caches():
@@ -63,8 +71,7 @@ def cold_query(tmp_path, capsys, counts, factors, argv):
         )
     )
     clear_caches()
-    for kernel in KERNELS:
-        counts[kernel] = 0
+    counts.update(dict.fromkeys(counts, 0))
     try:
         code = modspec.cli.main(["--quiet", argv[0], str(path), *argv[1:]])
     finally:
@@ -109,3 +116,32 @@ def test_radical_query_on_z2_to_the_sixth_intersects_a_few_times(kernel_calls, t
     assert result["method"] == "both"
     assert result["prime_radical"] == result["submodule"]  # N is already prime-radical
     assert 0 < counts["lattice_intersection"] <= 10
+
+
+Z_2PQ = (2 * 10007 * 10009,)
+
+
+@pytest.mark.parametrize("factors", [(6, 6, 6), Z_2PQ], ids=["z6^3", "z2pq"])
+def test_pradical_makes_no_hnf_call(kernel_calls, tmp_path, capsys, factors):
+    counts, result = cold_query(tmp_path, capsys, kernel_calls, factors, ["pradical"])
+    assert result["pradical"] is True
+    assert counts["hnf"] == 0
+
+
+def test_radical_on_z_2pq_makes_one_hnf_call(kernel_calls, tmp_path, capsys):
+    counts, result = cold_query(
+        tmp_path, capsys, kernel_calls, Z_2PQ, ["radical", "--submodule", "4"]
+    )
+    # <4> = 2M is prime: the one HNF is the parse of the generator
+    assert result["method"] == "both"
+    assert result["prime_radical"] == result["submodule"]
+    assert result["submodule"]["index"] == 2
+    assert counts["hnf"] == 1
+
+
+def test_cover_on_z_2pq_factors_a_few_times(factorize_calls, tmp_path, capsys):
+    counts, result = cold_query(
+        tmp_path, capsys, factorize_calls, Z_2PQ, ["cover", "--f", "5", "--hs", "10007,10009"]
+    )
+    assert result["covers_exactly"] and result["open_f"] == [2, 10007, 10009]
+    assert counts["factorize"] <= 3

@@ -152,6 +152,21 @@ def test_project_fraction_inverts_denominators():
     assert half.scale(2) == loc.project(x)
 
 
+@pytest.mark.parametrize(
+    "ms, coords, lifted",
+    [
+        (MultSet.powers_of(3), (1, 3), (0, 1, 3)),  # keeps the 2-parts (2, 4)
+        (MultSet.complement_of_prime(3), (1, 2, 0), (1, 2, 0)),  # the 3-parts (3, 3, 3)
+    ],
+)
+def test_lift_is_a_section_of_the_projection(ms, coords, lifted):
+    m = from_cyclic_orders(ZZ, [3, 6, 12])
+    loc = localize(m, ms)
+    assert loc.lift(coords) == lifted
+    for y in loc.module.elements():
+        assert loc.project(m.element(loc.lift(y.coords))) == y
+
+
 # ---------------------------------------------------------------------------
 # the prime correspondence
 # ---------------------------------------------------------------------------
