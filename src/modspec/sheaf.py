@@ -30,6 +30,7 @@ from .arith import (
     BezoutDecomposition,
     Ideal,
     bezout_decompose,
+    ideal,
     ideal_radical,
     ideal_sum,
     radical_membership_witness,
@@ -418,9 +419,19 @@ class IsoCriterionResult:
         return iso_class_equal(self.loc_f, self.loc_g)
 
 
+def _colon_radical(module: FgModule, f: int) -> Ideal:
+    """sqrt((fM : M)).  For a finite module (fM : M) = (gcd(f, e)), e the
+    exponent, so its radical is the product of the primes of M dividing f
+    (all of them for f = 0), read off ``module.primary`` with no
+    factorization.  Otherwise the colon ideal is factored."""
+    if module.is_finite:
+        return ideal(module.ring, math.prod(p for p in module.primary if f % p == 0))
+    return ideal_radical(colon(scalar_multiple_submodule(f, module), module))
+
+
 def iso_criterion(module: FgModule, f: int, g: int) -> IsoCriterionResult:
-    rad_f = ideal_radical(colon(scalar_multiple_submodule(f, module), module))
-    rad_g = ideal_radical(colon(scalar_multiple_submodule(g, module), module))
+    rad_f = _colon_radical(module, f)
+    rad_g = _colon_radical(module, g)
     return IsoCriterionResult(
         module=module,
         f=f,

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modspec
+from modspec.arith import ZZ
 from modspec.cli import (
     ModuleFileError,
     build_parser,
@@ -23,6 +24,8 @@ from modspec.cli import (
     module_to_json,
     parse_module_file,
 )
+from modspec.fgmodules import FgModule
+from modspec.spectrum import spec_enumerate
 
 SRC = os.path.dirname(os.path.dirname(modspec.__file__))
 
@@ -144,11 +147,18 @@ def test_radical_and_colon_commands(capsys, z12):
 
 @pytest.mark.parametrize(
     "strategy, method",
-    [("bruteforce", "bruteforce"), ("classified", "closed_form"), ("both", "both")],
+    [
+        ("bruteforce", "bruteforce"),
+        ("classified", "closed_form"),
+        ("both", "both"),
+        (None, "closed_form"),
+    ],
 )
 def test_radical_honours_the_strategy(capsys, z12, strategy, method):
-    code, report = run(capsys, ["--strategy", strategy, "radical", z12, "--submodule", "4"])
+    options = [] if strategy is None else ["--strategy", strategy]
+    code, report = run(capsys, [*options, "radical", z12, "--submodule", "4"])
     assert code == 0 and report["result"]["method"] == method
+    assert "strategy" not in report["inputs"]
     assert report["result"]["prime_radical"]["order"] == 6  # 4M + 6M = 2M
 
 
@@ -394,7 +404,9 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "read by spec and radical only" in " ".join(capsys.readouterr().out.split())
+    text = " ".join(capsys.readouterr().out.split())
+    assert "read by spec and radical only" in text
+    assert "(default: both, agreement enforced, for spec; the closed form" in text
 
 
 def test_main_constructs_no_parser(capsys, z12, monkeypatch):
@@ -420,6 +432,10 @@ def test_no_argument_carries_over(capsys, z12):
     code, report = run(capsys, ["spec", z12])
     assert code == 0
     assert report["inputs"]["strategy"] == "both" and report["result"]["strategy"] == "both"
+
+    run(capsys, ["--strategy", "both", "radical", z12, "--submodule", "4"])
+    code, report = run(capsys, ["radical", z12, "--submodule", "4"])
+    assert code == 0 and report["result"]["method"] == "closed_form"
 
     run(capsys, ["localize", z12, "--at", "2"])
     code, report = run(capsys, ["localize", z12, "--invert", "3"])
@@ -461,8 +477,9 @@ def chains(draw, max_len=3, max_card=512):
     return factors
 
 
-def run_file(factors, argv, caps=None):
-    """Exit code and report of one CLI call on a Z-module file."""
+def run_file(factors, argv, caps=None, options=()):
+    """Exit code and report of one CLI call on a Z-module file; ``options``
+    go before the command."""
     data = {
         "ring": {"kind": "Z"},
         "module": {"kind": "invariant_factors", "factors": factors, "free_rank": 0},
@@ -475,7 +492,7 @@ def run_file(factors, argv, caps=None):
             json.dump(data, fh)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["--quiet", argv[0], path, *argv[1:]])
+            code = main(["--quiet", *options, argv[0], path, *argv[1:]])
     return code, json.loads(out.getvalue())
 
 
@@ -514,6 +531,30 @@ def test_env_cardinality_cap_refuses(factors, data):
     with mock.patch.dict(os.environ, {"MODSPEC_CARD_CAP": str(cap)}):
         code, report = run_file(factors, ["sheaf", "--open", "D(1)"])
     assert_refused(code, report, f"|M| = {card} exceeds the cardinality cap {cap}")
+
+
+@CAP_SETTINGS
+@given(chains(max_len=4), st.data())
+def test_points_cap_refuses_the_queries_that_build_points(factors, data):
+    points = len(spec_enumerate(FgModule(ZZ, tuple(factors))))
+    cap = data.draw(st.integers(0, points - 1))
+    text = f"|Spec(M)| = {points} exceeds the cardinality cap {cap}"
+    zero = ",".join("0" * len(factors))
+    for options, argv in (
+        (["--strategy", "classified"], ["spec"]),
+        (["--strategy", "both"], ["radical", "--submodule", zero]),
+        (["--strategy", "bruteforce"], ["radical", "--submodule", zero]),
+    ):
+        code, report = run_file(factors, argv, caps={"cardinality": cap}, options=options)
+        assert_refused(code, report, text)
+        with mock.patch.dict(os.environ, {"MODSPEC_CARD_CAP": str(cap)}):
+            code, report = run_file(factors, argv, options=options)
+        assert_refused(code, report, text)
+        code, report = run_file(factors, argv, caps={"cardinality": points}, options=options)
+        assert code == 0, report
+    # the closed-form radical builds no point: no cap applies
+    code, report = run_file(factors, ["radical", "--submodule", zero], caps={"cardinality": 0})
+    assert code == 0 and report["result"]["method"] == "closed_form"
 
 
 @CAP_SETTINGS

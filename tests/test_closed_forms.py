@@ -1,6 +1,7 @@
-"""The diagonal closed forms for fM, the zero submodule and (N : M), V(N)
-and the closed-form prime radical read off [M : N], and the
-one-test-per-fiber prime check, against the general code they replace."""
+"""The diagonal closed forms for fM, the zero submodule, (N : M) and the
+radical of (fM : M), V(N) and the closed-form prime radical read off
+[M : N], and the one-test-per-fiber prime check, against the general code
+they replace."""
 
 import dataclasses
 from functools import reduce
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from modspec import lattices
 from modspec import spectrum as spectrum_module
-from modspec.arith import ZZ, Zmod, ideal
+from modspec.arith import ZZ, Zmod, ideal, ideal_radical
 from modspec.corpus import finite_corpus
 from modspec.fgmodules import (
     FgModule,
@@ -24,6 +25,7 @@ from modspec.fgmodules import (
     submodule_from_lattice,
 )
 from modspec.lattices import hnf, smith_diagonal
+from modspec.sheaf import _colon_radical
 from modspec.spectrum import (
     ClosedSet,
     PrimeSubmodule,
@@ -128,6 +130,7 @@ def test_closed_forms_match_the_normal_forms(orders, n, free_rank, f, k):
         fm = scalar_multiple_submodule(g, m)
         assert fm == scalar_multiple_reference(g, m), (str(m), g)
         assert colon(fm, m) == colon_reference(fm, m), (str(m), g)
+        assert _colon_radical(m, g) == ideal_radical(colon_reference(fm, m)), (str(m), g)
         assert fm.is_zero == (g == 0 or (m.is_finite and g % (m.exponent) == 0))
 
 
