@@ -185,19 +185,19 @@ def _split_into_primes(n: int, budget: int) -> list[int] | None:
     return primes
 
 
-def is_prime(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
-    return n >= 2 and factorize(n, bound) == {n: 1}
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}
 
 
-def prime_divisors(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, ...]:
-    return tuple(sorted(factorize(n, bound))) if n else ()
+def prime_divisors(n: int) -> tuple[int, ...]:
+    return tuple(sorted(factorize(n))) if n else ()
 
 
-def squarefree_kernel(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> int:
+def squarefree_kernel(n: int) -> int:
     """Product of the distinct primes dividing n (0 for n = 0, 1 for units)."""
     if n == 0:
         return 0
-    return math.prod(prime_divisors(n, bound))
+    return math.prod(prime_divisors(n))
 
 
 def p_part(n: int, p: int) -> int:
@@ -374,20 +374,20 @@ def ideal_sum(*ideals: Ideal) -> Ideal:
     return reduce(lambda x, y: ideal_combine("sum", x, y), ideals)
 
 
-def ideal_radical(a: Ideal, bound: int = DEFAULT_FACTOR_BOUND) -> Ideal:
+def ideal_radical(a: Ideal) -> Ideal:
     """Product of the distinct primes containing (gen); fixes (0) and (1)."""
     if a.gen == 0:
         return a
-    return ideal(a.ring, squarefree_kernel(a.gen, bound))
+    return ideal(a.ring, squarefree_kernel(a.gen))
 
 
-def is_prime_ideal(a: Ideal, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def is_prime_ideal(a: Ideal) -> bool:
     m = a.ring.effective_modulus
     if m is None:
-        return a.gen == 0 or is_prime(a.gen, bound)
+        return a.gen == 0 or is_prime(a.gen)
     # over Z/m the prime ideals are (p) for primes p | m; this covers the
     # zero ideal of Z/p, whose canonical generator is p itself
-    return is_prime(a.gen, bound)
+    return is_prime(a.gen)
 
 
 def radical_membership_witness(f: int, a: Ideal) -> int | None:

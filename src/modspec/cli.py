@@ -54,6 +54,7 @@ from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
 INT_STRING_BOUND = 2**53
+CAP_KEYS = ("cardinality", "subgroup_enumeration")
 
 
 class ModuleFileError(ValueError):
@@ -195,16 +196,13 @@ def load_module_file(text: str) -> tuple[FgModule, dict]:
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ModuleFileError("caps", "expected an object")
-    if "factor_bound" in caps:
-        raise ModuleFileError(
-            "caps.factor_bound",
-            "not supported; the caps that apply are cardinality and subgroup_enumeration",
-        )
-    parsed_caps = {}
-    for key in ("cardinality", "subgroup_enumeration"):
-        if key in caps:
-            parsed_caps[key] = _decode_int(caps[key], f"caps.{key}")
-    return module, parsed_caps
+    for key in caps:
+        if key not in CAP_KEYS:
+            raise ModuleFileError(
+                f"caps.{key}",
+                "not supported; the caps that apply are cardinality and subgroup_enumeration",
+            )
+    return module, {key: _decode_int(caps[key], f"caps.{key}") for key in CAP_KEYS if key in caps}
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +214,6 @@ def ideal_json(a: Ideal) -> dict:
 
 
 def submodule_json(sub: Submodule) -> dict:
-    if sub.parent.is_prufer:
-        return {"symbolic": sub.symbolic}
     return {
         "basis": [list(row) for row in sub.basis],
         "order": sub.order(),

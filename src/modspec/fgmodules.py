@@ -21,9 +21,12 @@ parts: it factors the largest invariant factor once per module object and
 maps each prime p to the p-parts of the invariant factors.  Every other
 layer reads its primes and p-parts from there.
 
-The Pruefer group Z(p^oo) is carried as a special module kind with symbolic
-rules (divisible, torsion, zero annihilator): it is not finitely presented,
-and only the operations its role as a counterexample needs are defined.
+The Pruefer group Z(p^oo) is carried as a special module kind (divisible,
+torsion, zero annihilator): it is not finitely presented, and only the
+operations its role as a counterexample needs are defined.  It has no
+canonical coordinates, so no elements and no submodules; the colon
+(fM : M) = (f) + Ann(M) of every module is read off the scalar by
+``scalar_colon``, with no submodule built.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -193,13 +195,6 @@ class FgModule:
         for coords in itertools.product(*(range(e) for e in self.factors)):
             yield ModElement(self, coords)
 
-    def prufer_element(self, numerator: int, exponent: int) -> PruferElement:
-        if not self.is_prufer:
-            raise UnsupportedModuleError("not a Pruefer module")
-        p = self.prufer_prime
-        value = Fraction(numerator, p**exponent) % 1
-        return PruferElement(self, value)
-
     # -- canonical lattice data ----------------------------------------------
 
     def relation_rows(self) -> Basis:
@@ -212,20 +207,13 @@ class FgModule:
         return tuple(rows)
 
     def zero_submodule(self) -> Submodule:
-        if self.is_prufer:
-            return Submodule(self, None, "zero")
         # diag(e_1, ..., e_t) is already in HNF
         return Submodule(self, self.relation_rows())
 
     def full_submodule(self) -> Submodule:
-        if self.is_prufer:
-            return Submodule(self, None, "full")
         d = self.rank
         rows = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
         return Submodule(self, rows)
-
-    def submodule(self, gens: Iterable[ModElement]) -> Submodule:
-        return submodule_from_generators(self, list(gens))
 
     def __str__(self) -> str:
         if self.is_prufer:
@@ -273,58 +261,20 @@ class ModElement:
 
 
 @dataclass(frozen=True)
-class PruferElement:
-    parent: FgModule
-    value: Fraction  # in [0, 1), denominator a power of p
-
-    def __add__(self, other: PruferElement) -> PruferElement:
-        if self.parent != other.parent:
-            raise ValueError("elements of different modules")
-        return PruferElement(self.parent, (self.value + other.value) % 1)
-
-    def __neg__(self) -> PruferElement:
-        return PruferElement(self.parent, (-self.value) % 1)
-
-    def __sub__(self, other: PruferElement) -> PruferElement:
-        return self + (-other)
-
-    def scale(self, r: int) -> PruferElement:
-        return PruferElement(self.parent, (r * self.value) % 1)
-
-    def __rmul__(self, r: int) -> PruferElement:
-        return self.scale(r)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-
-@dataclass(frozen=True)
 class Submodule:
-    """Submodule in canonical form.
-
-    For presented parents, ``basis`` is the row HNF of the preimage lattice
-    in Z^rank (always containing the relation lattice).  Pruefer parents only
-    admit the symbolic submodules "full" and "zero".
-    """
+    """Submodule in canonical form: ``basis`` is the row HNF of the
+    preimage lattice in Z^rank (always containing the relation lattice).
+    The Pruefer group has no coordinates, hence no submodules."""
 
     parent: FgModule
-    basis: Basis | None
-    symbolic: str | None = None
+    basis: Basis
 
     def __post_init__(self):
         if self.parent.is_prufer:
-            if self.symbolic not in ("full", "zero") or self.basis is not None:
-                raise UnsupportedModuleError(
-                    "submodules of the Pruefer group are symbolic (full or zero)"
-                )
-        elif self.basis is None or self.symbolic is not None:
-            raise ValueError("presented submodules carry a lattice basis")
+            raise UnsupportedModuleError("the Pruefer group has no submodules")
 
     @property
     def is_full(self) -> bool:
-        if self.parent.is_prufer:
-            return self.symbolic == "full"
         d = self.parent.rank
         return len(self.basis) == d and all(
             self.basis[i][i] == 1 for i in range(d)
@@ -332,13 +282,9 @@ class Submodule:
 
     @property
     def is_zero(self) -> bool:
-        if self.parent.is_prufer:
-            return self.symbolic == "zero"
         return self.basis == self.parent.zero_submodule().basis
 
-    def contains(self, elem) -> bool:
-        if self.parent.is_prufer:
-            return True if self.symbolic == "full" else elem.is_zero
+    def contains(self, elem: ModElement) -> bool:
         if elem.parent != self.parent:
             raise ValueError("element of a different module")
         return lattice_contains(self.basis, elem.coords)
@@ -346,8 +292,6 @@ class Submodule:
     def __le__(self, other: Submodule) -> bool:
         if self.parent != other.parent:
             raise ValueError("submodules of different modules")
-        if self.parent.is_prufer:
-            return self.symbolic == "zero" or other.symbolic == "full"
         return lattice_leq(self.basis, other.basis)
 
     def __lt__(self, other: Submodule) -> bool:
@@ -355,8 +299,6 @@ class Submodule:
 
     def index(self) -> int | None:
         """|M / N| = [Z^rank : L], or None when infinite."""
-        if self.parent.is_prufer:
-            raise UnsupportedModuleError("symbolic submodule")
         return lattice_index(self.basis, self.parent.rank)
 
     def order(self) -> int | None:
@@ -370,23 +312,17 @@ class Submodule:
     def add(self, other: Submodule) -> Submodule:
         if self.parent != other.parent:
             raise ValueError("submodules of different modules")
-        if self.parent.is_prufer:
-            sym = "full" if "full" in (self.symbolic, other.symbolic) else "zero"
-            return Submodule(self.parent, None, sym)
         return Submodule(self.parent, lattice_sum(self.basis, other.basis, self.parent.rank))
 
     def intersect(self, other: Submodule) -> Submodule:
         if self.parent != other.parent:
             raise ValueError("submodules of different modules")
-        if self.parent.is_prufer:
-            sym = "zero" if "zero" in (self.symbolic, other.symbolic) else "full"
-            return Submodule(self.parent, None, sym)
         return Submodule(
             self.parent, lattice_intersection(self.basis, other.basis, self.parent.rank)
         )
 
-    def elements(self, cap: int = DEFAULT_CARDINALITY_CAP) -> Iterator[ModElement]:
-        for elem in self.parent.elements(cap):
+    def elements(self) -> Iterator[ModElement]:
+        for elem in self.parent.elements():
             if self.contains(elem):
                 yield elem
 
@@ -394,8 +330,6 @@ class Submodule:
         return tuple(self.parent.element(row) for row in self.basis)
 
     def __str__(self) -> str:
-        if self.parent.is_prufer:
-            return self.symbolic
         return f"<{', '.join(str(list(r)) for r in self.basis)}>"
 
 
@@ -460,10 +394,6 @@ def zero_module(ring: Ring) -> FgModule:
 
 
 def submodule_from_generators(module: FgModule, gens: Sequence[ModElement]) -> Submodule:
-    if module.is_prufer:
-        raise UnsupportedModuleError(
-            "submodules of the Pruefer group are handled symbolically"
-        )
     rows = list(module.relation_rows())
     for g in gens:
         if g.parent != module:
@@ -485,8 +415,6 @@ def scalar_multiple_submodule(f: int, module: FgModule) -> Submodule:
     torsion coordinate and |f| on each free coordinate, with zero rows
     dropped.  f = 0 gives the relation lattice, the zero submodule.
     """
-    if module.is_prufer:
-        return Submodule(module, None, "full" if f != 0 else "zero")
     d = module.rank
     pivots = [math.gcd(f, e) for e in module.factors] + [abs(f)] * module.free_rank
     return Submodule(
@@ -512,9 +440,6 @@ def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
     module = module or sub.parent
     if sub.parent != module:
         raise ValueError("submodule of a different module")
-    if module.is_prufer:
-        # fM = M for f != 0, so only the two symbolic cases occur
-        return ideal(module.ring, 1 if sub.symbolic == "full" else 0)
     d = module.rank
     if d == 0:
         return ideal(module.ring, 1)
@@ -527,6 +452,19 @@ def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
     if len(diag) < d:
         return ideal(module.ring, 0)
     return ideal(module.ring, diag[-1])
+
+
+def scalar_colon(f: int, module: FgModule) -> Ideal:
+    """(fM : M) = (f) + Ann(M), read off the scalar with no submodule.
+
+    M/fM is the sum of the Z/gcd(f, e_i) and of (Z/f)^r, so its
+    annihilator is gcd(f, e_t) for a torsion module and (f) with free
+    rank: gcd(f, Ann(M)) in both cases.  The Pruefer group is divisible,
+    so fM = M and the colon is (1), or (0) when f = 0.
+    """
+    if module.is_prufer:
+        return ideal(module.ring, 1 if f else 0)
+    return ideal(module.ring, math.gcd(f, module.annihilator().gen))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .arith import (
     squarefree_kernel,
 )
 from .fgmodules import (
-    DEFAULT_CARDINALITY_CAP,
     FgModule,
     ModElement,
     Submodule,
@@ -326,9 +325,7 @@ def invariant_factors_from_orders(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple(reversed(descending))
 
 
-def localize_bruteforce(
-    module: FgModule, mult_set: MultSet, cap: int = DEFAULT_CARDINALITY_CAP
-) -> LocalizedModule:
+def localize_bruteforce(module: FgModule, mult_set: MultSet) -> LocalizedModule:
     """Oracle localization from the definition, for finite modules.
 
     Builds the classes of pairs (m, s) with s in the image of S: the pair
@@ -343,7 +340,7 @@ def localize_bruteforce(
     loc_ring = mult_set.localized_ring(module.ring)
     if module.is_zero:
         return LocalizedModule(loc_ring, zero_module(module.ring), module, (), mult_set)
-    elems = [x.coords for x in module.elements(cap)]
+    elems = [x.coords for x in module.elements()]
     factors = module.factors
     a = module.exponent
     s_img = mult_set.image_mod(a)

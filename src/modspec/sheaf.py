@@ -29,11 +29,11 @@ from typing import Iterator
 from .arith import (
     BezoutDecomposition,
     Ideal,
+    NotInRadicalError,
     bezout_decompose,
     ideal,
     ideal_radical,
     ideal_sum,
-    radical_membership_witness,
 )
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
@@ -41,9 +41,8 @@ from .fgmodules import (
     FgModule,
     ModElement,
     UnsupportedModuleError,
-    colon,
     iso_class_equal,
-    scalar_multiple_submodule,
+    scalar_colon,
 )
 from .localization import LocalizedModule, MultSet, localize
 from .spectrum import (
@@ -238,9 +237,7 @@ class StalkResult:
     bijective: bool
 
 
-def stalk(
-    module: FgModule, prime: PrimeSubmodule, cap: int = DEFAULT_CARDINALITY_CAP
-) -> StalkResult:
+def stalk(module: FgModule, prime: PrimeSubmodule) -> StalkResult:
     """Germ space at a prime with the explicit isomorphism onto M_(p)."""
     if not module.is_finite:
         raise UnsupportedModuleError("stalks are enumerated for finite modules")
@@ -253,7 +250,7 @@ def stalk(
     space = sections(module, minimal)
     assignments = []
     seen = set()
-    for s in space.elements(cap):
+    for s in space.elements():
         germ = Germ(prime, minimal, s)
         value = germ.value()
         assignments.append((germ, value))
@@ -350,9 +347,9 @@ class CoverDecomposition:
 def cover_decompose(module: FgModule, f: int, hs: list[int]) -> CoverDecomposition:
     if not hs:
         raise CoverError("need at least one covering element")
-    spectrum = spec_enumerate(module) if module.is_finite or module.is_prufer or module.is_zero else None
-    if spectrum is None:
+    if not (module.is_finite or module.is_prufer):
         raise UnsupportedModuleError("cover decomposition needs an enumerable spectrum")
+    spectrum = spec_enumerate(module)
     d_f = basic_open(f, module, spectrum)
     d_hs = [basic_open(h, module, spectrum) for h in hs]
     union = reduce(lambda a, b: a | b, d_hs)
@@ -361,11 +358,13 @@ def cover_decompose(module: FgModule, f: int, hs: list[int]) -> CoverDecompositi
             f"D({f}M) = {sorted(d_f.fiber_primes)} is not covered by "
             f"{[sorted(o.fiber_primes) for o in d_hs]}"
         )
-    ideals = [colon(scalar_multiple_submodule(h, module), module) for h in hs]
-    total = ideal_sum(*ideals)
-    if radical_membership_witness(f, total) is None:
-        raise CoverError(f"{f} escapes the radical of the covering colon ideals {total}")
-    dec: BezoutDecomposition = bezout_decompose(f, ideals)
+    ideals = [scalar_colon(h, module) for h in hs]
+    try:
+        dec: BezoutDecomposition = bezout_decompose(f, ideals)
+    except NotInRadicalError:
+        raise CoverError(
+            f"{f} escapes the radical of the covering colon ideals {ideal_sum(*ideals)}"
+        ) from None
     d_rs = [basic_open(r, module, spectrum) for r, _ in dec.pairs]
     union_r = reduce(lambda a, b: a | b, d_rs)
     if not d_f.issubset(union_r):
@@ -426,7 +425,7 @@ def _colon_radical(module: FgModule, f: int) -> Ideal:
     factorization.  Otherwise the colon ideal is factored."""
     if module.is_finite:
         return ideal(module.ring, math.prod(p for p in module.primary if f % p == 0))
-    return ideal_radical(colon(scalar_multiple_submodule(f, module), module))
+    return ideal_radical(scalar_colon(f, module))
 
 
 def iso_criterion(module: FgModule, f: int, g: int) -> IsoCriterionResult:
@@ -513,11 +512,7 @@ def _compatible_families(family, proj, sizes) -> list[tuple[int, ...]]:
     return found
 
 
-def sheaf_axioms_check(
-    module: FgModule,
-    cap: int = DEFAULT_CARDINALITY_CAP,
-    family_limit: int = 50_000,
-) -> SheafAxiomsReport:
+def sheaf_axioms_check(module: FgModule, family_limit: int = 50_000) -> SheafAxiomsReport:
     """Exhaustive sheaf-axiom verification over every open and every cover.
 
     Checks the identity axiom (a section vanishing on a cover vanishes),
@@ -558,13 +553,13 @@ def sheaf_axioms_check(
         for combo in itertools.combinations(primes, k)
     ]
     open_sets = {u: spectrum.open_set(u) for u in opens}
-    section_lists = {u: list(sections(module, open_sets[u]).elements(cap)) for u in opens}
+    section_lists = {u: list(sections(module, open_sets[u]).elements()) for u in opens}
     sizes = {u: len(section_lists[u]) for u in opens}
     subs = {u: [v for v in opens if v <= u] for u in opens}
 
     # per-stalk digit tables; the full open's sections bound every pool
     stalks = dict(sections(module, open_sets[opens[-1]]).stalks)
-    pools = {p: list(stalks[p].module.elements(cap)) for p in primes}
+    pools = {p: list(stalks[p].module.elements()) for p in primes}
     index = {p: {e.coords: i for i, e in enumerate(pools[p])} for p in primes}
     radix = {p: len(pools[p]) for p in primes}
     scalars = (0, 1, 2, 3, 5)

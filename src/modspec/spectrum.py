@@ -12,7 +12,9 @@ Opens, varieties and sections depend on the spectrum only through its
 fiber set.  For a finite module N + pM is proper exactly when p divides
 [M : N], so V(N) is the set of fibers (p) with p | [M : N], and the prime
 radical is rad(N) = N + rM, with r the product of those p; neither needs
-a colon ideal or a point.  The classified spectrum is lazy: its fibers
+a colon ideal or a point.  In particular [M : fM] is the product of the
+gcd(f, e_i), so the basic open D(fM) is the set of fibers (p) with p not
+dividing f, read off the scalar with no submodule built.  The classified spectrum is lazy: its fibers
 are the relevant primes, and a fiber's points are built on first use.
 Until then its size is the closed-form count of proper subspaces of
 F_p^s, a sum of Gaussian binomials; a built fiber is checked against it.
@@ -166,10 +168,6 @@ class OpenSet:
         if not self.fiber_primes <= self.spectrum.fiber_primes:
             raise ValueError("open set holds primes outside the spectrum")
 
-    def points(self) -> Iterator[PrimeSubmodule]:
-        for p in sorted(self.fiber_primes):
-            yield from self.spectrum.fiber(p)
-
     def __or__(self, other: OpenSet) -> OpenSet:
         self._check(other)
         return OpenSet(self.spectrum, self.fiber_primes | other.fiber_primes)
@@ -213,11 +211,7 @@ class ClosedSet:
 # prime testing and enumeration
 # ---------------------------------------------------------------------------
 
-def is_prime_submodule(
-    sub: Submodule,
-    module: FgModule | None = None,
-    cap: int = DEFAULT_CARDINALITY_CAP,
-) -> Ideal | None:
+def is_prime_submodule(sub: Submodule, module: FgModule | None = None) -> Ideal | None:
     """Definitional brute-force prime test; the characteristic ideal on
     success, None otherwise."""
     module = module if module is not None else sub.parent
@@ -227,7 +221,7 @@ def is_prime_submodule(
         raise UnsupportedModuleError("the brute-force prime test needs a finite module")
     if sub.is_full:
         return None
-    return _prime_characteristic(sub, module, [x.coords for x in module.elements(cap)])
+    return _prime_characteristic(sub, module, [x.coords for x in module.elements()])
 
 
 def _prime_characteristic(
@@ -380,22 +374,21 @@ def variety(
     """V(N): the fibers (p) of the spectrum with p | [M : N].
 
     A (p)-prime contains N exactly when N + pM is proper, that is when p
-    divides the order of M/N; the index is read only for a nonempty
-    spectrum, so the primeless Pruefer group never asks for one.
+    divides the order of M/N.
     """
     module = module if module is not None else sub.parent
     spectrum = spectrum if spectrum is not None else spec_enumerate(module)
-    return ClosedSet(
-        spectrum, frozenset(p for p in spectrum.fiber_primes if sub.index() % p == 0)
-    )
+    index = sub.index()
+    return ClosedSet(spectrum, frozenset(p for p in spectrum.fiber_primes if index % p == 0))
 
 
 def basic_open(
     f: int, module: FgModule, spectrum: Spectrum | None = None
 ) -> OpenSet:
-    """D(fM): complement of V(fM)."""
+    """D(fM), the complement of V(fM): the fibers (p) with p not dividing f,
+    since [M : fM] is the product of the gcd(f, e_i)."""
     spectrum = spectrum if spectrum is not None else spec_enumerate(module)
-    return variety(scalar_multiple_submodule(f, module), module, spectrum).complement()
+    return OpenSet(spectrum, frozenset(p for p in spectrum.fiber_primes if f % p))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +407,6 @@ def prime_radical(
     of its primary parts.  "both" runs the two and insists they agree.
     """
     module = module if module is not None else sub.parent
-    if module.is_prufer:
-        return module.full_submodule()  # primeless: empty intersection
     if not module.is_finite:
         raise UnsupportedModuleError("prime radicals need an enumerable spectrum")
     if method == "both":

@@ -59,12 +59,12 @@ class SuiteResult:
         return not self.failures
 
 
-def _modules(modules: Sequence[FgModule] | None, *, finite_only=False, include_prufer=True):
+def _modules(modules: Sequence[FgModule] | None, *, finite_only=False):
     if modules is None:
         modules = finite_corpus() if finite_only else full_corpus()
     out = []
     for m in modules:
-        if m.is_prufer and (finite_only or not include_prufer):
+        if m.is_prufer and finite_only:
             continue
         if not m.is_finite and not m.is_prufer:
             continue
@@ -109,15 +109,13 @@ def check_artinian_pradical(modules: Sequence[FgModule] | None = None) -> SuiteR
 
 # -- criterion 2 -------------------------------------------------------------
 
-def check_strategy_agreement(
-    modules: Sequence[FgModule] | None = None, max_card: int = 128
-) -> SuiteResult:
+def check_strategy_agreement(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     """Brute-force and classified spectrum enumeration agree as
     fiber-labeled sets."""
     failures = []
     checks = 0
     for m in _modules(modules, finite_only=True):
-        if m.cardinality > max_card:
+        if m.cardinality > 128:
             continue
         checks += 1
         try:
@@ -126,7 +124,7 @@ def check_strategy_agreement(
             failures.append(str(exc))
     return SuiteResult(
         "strategy-oracle",
-        f"spectrum strategies agree on finite modules with |M| <= {max_card}",
+        "spectrum strategies agree on finite modules with |M| <= 128",
         checks,
         tuple(failures),
     )
@@ -134,15 +132,13 @@ def check_strategy_agreement(
 
 # -- criterion 3 -------------------------------------------------------------
 
-def check_prime_radical_oracle(
-    modules: Sequence[FgModule] | None = None, max_card: int = 64
-) -> SuiteResult:
+def check_prime_radical_oracle(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     """Closed-form prime radical equals the brute-force intersection for
     every submodule."""
     failures = []
     checks = 0
     for m in _modules(modules, finite_only=True):
-        if m.cardinality > max_card:
+        if m.cardinality > 64:
             continue
         for sub in all_submodules(m):
             checks += 1
@@ -152,7 +148,7 @@ def check_prime_radical_oracle(
                 failures.append(f"{m}: N = {sub} closed {closed} vs brute {brute}")
     return SuiteResult(
         "prime-radical-oracle",
-        f"closed form radical = spectrum intersection, |M| <= {max_card}",
+        "closed form radical = spectrum intersection, |M| <= 64",
         checks,
         tuple(failures),
     )
@@ -223,7 +219,7 @@ def check_iso_criterion(modules: Sequence[FgModule] | None = None) -> SuiteResul
                 res = iso_criterion(m, f, g)
                 if res.radicals_equal != res.modules_isomorphic:
                     failures.append(f"{m}: f={f} g={g} sides disagree")
-    for m in _modules(modules, include_prufer=True):
+    for m in _modules(modules):
         if not m.is_prufer:
             continue
         p = m.prufer_prime
@@ -283,7 +279,6 @@ def check_prufer_controls(modules: Sequence[FgModule] | None = None) -> SuiteRes
 
 def check_radical_sum_identity(
     modules: Sequence[FgModule] | None = None,
-    seed: int = DEFAULT_SEED,
     randomized: int = 1000,
     max_modulus: int = 60,
 ) -> SuiteResult:
@@ -340,7 +335,7 @@ def check_radical_sum_identity(
                     rhs = radical_of(at(sums, x, meets[y][z]))
                     if lhs is None or lhs != rhs:
                         failures.append(f"Z/{n}: I={i.gen} J={j.gen} K={k.gen}")
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(randomized):
         i, j, k = (ideal(ZZ, rng.randint(0, 10**6)) for _ in range(3))
         checks += 1
@@ -378,19 +373,15 @@ def check_prime_correspondence(modules: Sequence[FgModule] | None = None) -> Sui
 
 # -- criterion 10 ------------------------------------------------------------
 
-def check_direct_sums(
-    modules: Sequence[FgModule] | None = None,
-    seed: int = DEFAULT_SEED,
-    pairs: int = 200,
-) -> SuiteResult:
+def check_direct_sums(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     """Direct sums stay in the prime radical class, and primes of a summand
     lift to primes of the sum with the same characteristic ideal."""
     failures = []
     checks = 0
     pool = [m for m in _modules(modules, finite_only=True) if m.ring.modulus is None]
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     # modules over Z/n leave the pool empty, which makes no checks
-    for _ in range(pairs if pool else 0):
+    for _ in range(200 if pool else 0):
         m1, m2 = rng.choice(pool), rng.choice(pool)
         m, e1, e2 = direct_sum_with_embeddings(m1, m2)
         checks += 1
@@ -445,20 +436,16 @@ def check_localization_oracle(modules: Sequence[FgModule] | None = None) -> Suit
 
 # -- criterion 12 ------------------------------------------------------------
 
-def check_cover_decomposition(
-    modules: Sequence[FgModule] | None = None,
-    seed: int = DEFAULT_SEED,
-    covers: int = 100,
-) -> SuiteResult:
+def check_cover_decomposition(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     """Random exact covers of basic opens decompose: f^n = sum(r_i b_i)
     exactly with r_i in (h_i M : M), and D(fM) = union D(r_i M)."""
     failures = []
     checks = 0
     pool = [m for m in _modules(modules, finite_only=True) if not m.is_zero]
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     coprime_pad = (1, 1, 5, 7, 25, 35, 49)
     # the zero module alone leaves the pool empty, which makes no checks
-    for _ in range(covers if pool else 0):
+    for _ in range(100 if pool else 0):
         m = rng.choice(pool)
         spectrum = spec_enumerate(m)
         relevant = sorted(spectrum.fiber_primes)

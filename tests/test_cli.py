@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modspec
+from modspec import sheaf as sheaf_layer, spectrum as spectrum_layer
 from modspec.arith import ZZ
 from modspec.cli import (
     ModuleFileError,
@@ -268,6 +269,18 @@ def test_factor_bound_cap_is_rejected(capsys, tmp_path):
     error = report["result"]["error"]
     assert error.startswith("caps.factor_bound:")
     assert "cardinality" in error and "subgroup_enumeration" in error
+
+
+@pytest.mark.parametrize("key", ["factor_bound", "cardinalty", "subgroup_cap"])
+def test_an_unknown_cap_is_rejected(capsys, tmp_path, key):
+    # a misspelled cap would otherwise leave its default silently in force
+    path = module_file(tmp_path, {"kind": "Z"}, [12], caps={key: 10})
+    code, report = run(capsys, ["spec", path])
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == (
+        f"caps.{key}: not supported; the caps that apply are cardinality "
+        "and subgroup_enumeration"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,3 +583,24 @@ def test_psi_default_cardinality_cap_refuses(factors):
     card = math.prod(factors)
     code, report = run_file(factors, ["sheaf", "--open", "D(1)"])
     assert_refused(code, report, f"|M| = {card} exceeds the cardinality cap 4096")
+
+
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["sheaf", "--open", "D(2)"], {"open": {"f": 2, "fibers": [3]}}),
+        (["cover", "--f", "1", "--hs", "2,3"], {"open_f": [2, 3], "exponent": 1}),
+    ],
+    ids=["sheaf", "cover"],
+)
+def test_sheaf_and_cover_build_no_submodule(monkeypatch, argv, result):
+    # D(fM) and (hM : M) are read off the scalars: fM and its colon are never formed
+    def refuse(*args):
+        raise AssertionError("a submodule or its colon was computed")
+
+    for layer in (spectrum_layer, sheaf_layer):
+        for name in ("scalar_multiple_submodule", "colon"):
+            monkeypatch.setattr(layer, name, refuse, raising=False)
+    code, report = run_file([6, 6], argv)
+    assert code == 0 and report["status"] == "ok"
+    assert report["result"].items() >= result.items()

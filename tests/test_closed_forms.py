@@ -12,14 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 from modspec import lattices
 from modspec import spectrum as spectrum_module
 from modspec.arith import ZZ, Zmod, ideal, ideal_radical
-from modspec.corpus import finite_corpus
+from modspec.corpus import finite_corpus, full_corpus
 from modspec.fgmodules import (
     FgModule,
     Submodule,
+    UnsupportedModuleError,
     all_submodules,
     colon,
     from_cyclic_orders,
     prufer_module,
+    scalar_colon,
     scalar_multiple_submodule,
     submodule_from_generators,
     submodule_from_lattice,
@@ -145,9 +147,18 @@ def test_closed_form_examples():
     finite = from_cyclic_orders(Zmod(24), [2, 12])
     assert colon(scalar_multiple_submodule(8, finite)) == ideal(Zmod(24), 4)
     assert colon(scalar_multiple_submodule(0, finite)) == ideal(Zmod(24), 12)
+    assert scalar_colon(8, m) == ideal(ZZ, 8) and scalar_colon(0, m) == ideal(ZZ, 0)
+    assert scalar_colon(8, finite) == ideal(Zmod(24), 4)
+    assert scalar_colon(0, finite) == ideal(Zmod(24), 12)
+    # one representation: the Pruefer group has no submodules, and its
+    # colon is read off the scalar
+    assert [f.name for f in dataclasses.fields(Submodule)] == ["parent", "basis"]
     p = prufer_module(3)
-    assert scalar_multiple_submodule(6, p).is_full
-    assert scalar_multiple_submodule(0, p) == p.zero_submodule()
+    with pytest.raises(UnsupportedModuleError):
+        scalar_multiple_submodule(6, p)
+    with pytest.raises(UnsupportedModuleError):
+        p.zero_submodule()
+    assert scalar_colon(6, p) == ideal(ZZ, 1) and scalar_colon(0, p) == ideal(ZZ, 0)
 
 
 def test_fm_the_zero_submodule_and_their_colons_run_no_smith_form(smith_calls, monkeypatch):
@@ -275,6 +286,32 @@ def test_index_rule_on_the_corpus():
             assert_index_rule(sub, m)
 
 
+# every torsion part of the modules with free rank below, each with r = 1, 2
+FREE_RANK_TORSION = ((), (2,), (6,), (2, 6), (12,))
+
+
+def test_scalar_colon_and_basic_open_match_the_lattice_path():
+    modules = list(full_corpus()) + [
+        from_cyclic_orders(ZZ, t, r) for t in FREE_RANK_TORSION for r in (1, 2)
+    ]
+    cases = 0
+    for m in modules:
+        spectrum = spec_enumerate(m) if not m.free_rank else None
+        for f in range(-60, 61):
+            cases += 1
+            if m.is_prufer:
+                # divisible, so fM = M, and primeless: D(fM) is empty
+                assert scalar_colon(f, m) == ideal(ZZ, 1 if f else 0)
+                assert basic_open(f, m, spectrum).is_empty
+                continue
+            fm = scalar_multiple_submodule(f, m)
+            assert scalar_colon(f, m) == colon(fm, m), (str(m), f)
+            if spectrum is not None:
+                expected = variety(fm, m, spectrum).complement()
+                assert basic_open(f, m, spectrum) == expected, (str(m), f)
+    assert cases == 22_748
+
+
 def test_variety_and_basic_open_read_no_colon(monkeypatch):
     monkeypatch.setattr(spectrum_module, "colon", None)  # any call would raise
     m = from_cyclic_orders(ZZ, [2, 6, 30])
@@ -282,9 +319,11 @@ def test_variety_and_basic_open_read_no_colon(monkeypatch):
     assert variety(scalar_multiple_submodule(3, m)).fiber_primes == {3}
     assert basic_open(10, m).fiber_primes == {3}
     assert [f.name for f in dataclasses.fields(ClosedSet)] == ["spectrum", "fiber_primes"]
-    # the primeless Pruefer group asks no index of its submodules
+    # the primeless Pruefer group has no submodules, and D(fM) builds none
     p = prufer_module(5)
-    assert variety(p.zero_submodule()).is_empty and basic_open(5, p).is_empty
+    with pytest.raises(UnsupportedModuleError):
+        variety(p.zero_submodule())
+    assert basic_open(5, p).is_empty
 
 
 def test_closed_form_radical_adds_once_and_never_intersects(monkeypatch):

@@ -107,11 +107,22 @@ def test_every_function_is_referenced():
     assert unreferenced_functions(defining, referencing) == []
 
 
-def test_library_import_leaves_out_the_cli():
-    probe = "import sys, modspec; print(sorted({'argparse', 'modspec.cli'} & set(sys.modules)))"
+def loaded_after(statement: str, names: list[str]) -> list[str]:
+    """Which of ``names`` a fresh interpreter has in sys.modules after
+    running ``statement``."""
+    probe = f"import sys; {statement}; print(sorted(set({names!r}) & set(sys.modules)))"
     src = str(Path(modspec.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_library_import_leaves_out_the_cli():
+    assert loaded_after("import modspec", ["argparse", "modspec.cli"]) == []
+
+
+def test_cli_import_loads_no_fractions():
+    # no module element is a fraction: the Pruefer group has no elements
+    assert loaded_after("import modspec.cli", ["fractions"]) == []

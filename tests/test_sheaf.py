@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from modspec import sheaf
+from modspec import arith, sheaf
 from modspec.arith import ZZ, Zmod, ideal
 from modspec.corpus import finite_corpus
 from modspec.fgmodules import (
@@ -231,6 +231,27 @@ def test_cover_decompose_rejects_non_covers():
     m = from_cyclic_orders(ZZ, [6])
     with pytest.raises(CoverError):
         cover_decompose(m, 1, [2])  # D(M) = {2,3} but D(2M) = {3}
+
+
+def test_cover_decompose_decides_radical_membership_once(monkeypatch):
+    m = from_cyclic_orders(ZZ, [6, 6])
+    assert m.primary  # factored once per module object
+    spec_enumerate(m)
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n, *rest: calls.append(n) or real(n, *rest))
+    dec = cover_decompose(m, 1, [14, 33])
+    assert dec.colon_ideals == (ideal(ZZ, 2), ideal(ZZ, 3)) and dec.exponent == 1
+    # the radical of (2) + (3) = (1), factored once, inside bezout_decompose
+    assert calls == [1]
+
+
+def test_cover_decompose_names_a_scalar_outside_the_radical():
+    # the Pruefer group is primeless, so every D(hM) is empty and covers;
+    # (0M : M) = (0), whose radical 1 escapes
+    with pytest.raises(CoverError) as exc:
+        cover_decompose(prufer_module(3), 1, [0])
+    assert str(exc.value) == "1 escapes the radical of the covering colon ideals (0) of Z"
 
 
 def test_cover_decompose_exactness_on_exact_covers():

@@ -187,7 +187,8 @@ def test_prime_radical_examples():
     assert prime_radical(m.full_submodule()).is_full
 
     p = prufer_module(3)
-    assert prime_radical(p.zero_submodule()).is_full
+    with pytest.raises(UnsupportedModuleError):
+        prime_radical(p.zero_submodule())
 
 
 @pytest.mark.parametrize("module", [m for m in SMALL_CORPUS if m.cardinality <= 64], ids=str)
