@@ -10,9 +10,12 @@ instance.
 
 ``--strategy`` is read by spec and radical only.  Left out, spec runs both
 enumeration strategies and insists they agree, and radical runs the closed
-form N + rM, which builds no point of the spectrum.  A classified spec and a
+form N + rM, which builds no point of the spectrum.  Every spec and a
 brute-force radical build every point, so they first count the points in
-closed form and refuse a spectrum larger than the cardinality cap.
+closed form and refuse a spectrum larger than the cardinality cap; a spec
+that runs the brute force refuses |M| past its subgroup and cardinality
+caps before that.  verify refuses a module with free rank, which no suite
+checks.
 
 The argument parser is built once, when this module is imported, and
 every ``main`` call parses with it; argparse makes a fresh namespace per
@@ -37,6 +40,7 @@ from .fgmodules import (
     colon,
     normalize,
     prufer_module,
+    refuse_over_cap,
     submodule_from_generators,
 )
 from .localization import LocalizedModule, MultSet, localize
@@ -278,21 +282,22 @@ def _refuse_points_over_cap(spectrum, caps) -> None:
     """Refuse a spectrum with more points than the cardinality cap before
     any of its fibers is built: its length is the closed-form count."""
     cap = caps.get("cardinality", DEFAULT_CARDINALITY_CAP)
-    count = len(spectrum)
-    if count > cap:
-        raise CapExceededError(f"|Spec(M)| = {count} exceeds the cardinality cap {cap}")
+    refuse_over_cap("|Spec(M)|", len(spectrum), "cardinality", cap)
 
 
 def cmd_spec(module, args, caps):
+    subgroup_cap = caps.get("subgroup_enumeration", DEFAULT_SUBGROUP_CAP)
+    card_cap = caps.get("cardinality", DEFAULT_CARDINALITY_CAP)
+    if module.is_finite and args.strategy != "classified":
+        # the brute force refuses |M| past these caps as it starts: their
+        # texts come first, then the points cap, before it walks a subgroup
+        refuse_over_cap("|M|", module.cardinality, "enumeration", subgroup_cap)
+        refuse_over_cap("|M|", module.cardinality, "cardinality", card_cap)
+        _refuse_points_over_cap(spec_enumerate(module), caps)
     spectrum = spec_enumerate(
-        module,
-        args.strategy,
-        subgroup_cap=caps.get("subgroup_enumeration", DEFAULT_SUBGROUP_CAP),
-        card_cap=caps.get("cardinality", DEFAULT_CARDINALITY_CAP),
+        module, args.strategy, subgroup_cap=subgroup_cap, card_cap=card_cap
     )
     if args.strategy == "classified":
-        # bruteforce and both have built and checked their points already,
-        # within the subgroup cap
         _refuse_points_over_cap(spectrum, caps)
     fibers = {
         str(p): [submodule_json(ps.sub) for ps in chunk]

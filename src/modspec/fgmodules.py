@@ -58,6 +58,13 @@ class CapExceededError(RuntimeError):
     """An enumeration would exceed the configured cardinality cap."""
 
 
+def refuse_over_cap(quantity: str, count: int, cap_name: str, cap: int) -> None:
+    """Raise ``CapExceededError`` naming the quantity, its value and the cap
+    when ``count`` exceeds ``cap``."""
+    if count > cap:
+        raise CapExceededError(f"{quantity} = {count} exceeds the {cap_name} cap {cap}")
+
+
 class UnsupportedModuleError(ValueError):
     """The operation is not defined for this module kind."""
 
@@ -190,8 +197,7 @@ class FgModule:
         card = self.cardinality
         if card is None:
             raise UnsupportedModuleError("cannot enumerate an infinite module")
-        if card > cap:
-            raise CapExceededError(f"|M| = {card} exceeds the cardinality cap {cap}")
+        refuse_over_cap("|M|", card, "cardinality", cap)
         for coords in itertools.product(*(range(e) for e in self.factors)):
             yield ModElement(self, coords)
 
@@ -537,38 +543,57 @@ def all_submodules(
 ) -> Iterator[Submodule]:
     """Every submodule of a finite module, each in canonical HNF form.
 
-    Enumerates upper-triangular candidate bases (pivots dividing the
-    invariant factors, entries above each pivot reduced) and keeps those
-    containing the relation lattice; this hits every intermediate lattice
-    exactly once.
+    A submodule's HNF is upper triangular, with a pivot d_j dividing each
+    invariant factor e_j and the entries above each pivot reduced, and
+    every such basis that contains the relation lattice is one submodule.
+    It contains the relations exactly when e_j*eps_j lies in the span of
+    rows j..d-1 for every j, a condition that reads only those rows.  So
+    for each diagonal the walk builds the rows from the last one up and
+    prunes a row, with every completion above it, as soon as its condition
+    fails: no rejected basis is built in full.  The bases of a diagonal are
+    yielded sorted by their above-pivot entries, column by column, the
+    order of a plain walk over all candidates.
     """
     if not module.is_finite:
         raise UnsupportedModuleError("subgroup enumeration needs a finite module")
-    card = module.cardinality
-    if card > cap:
-        raise CapExceededError(f"|M| = {card} exceeds the enumeration cap {cap}")
+    refuse_over_cap("|M|", module.cardinality, "enumeration", cap)
     d = module.rank
     if d == 0:
         yield module.full_submodule()
         return
     factors = module.factors
-    rel = module.relation_rows()
     divisor_lists = [[a for a in range(1, e + 1) if e % a == 0] for e in factors]
+
+    def above(basis):
+        return tuple(basis[i][j] for j in range(d) for i in range(j))
+
     for diag in itertools.product(*divisor_lists):
-        above_ranges = []
-        for j in range(d):
-            above_ranges.extend([range(diag[j])] * j)
-        for above in itertools.product(*above_ranges):
-            rows = []
-            pos = 0
-            entries = list(above)
-            # column j supplies entries for rows 0..j-1
-            cols = [[0] * d for _ in range(d)]
-            for j in range(d):
-                for i in range(j):
-                    cols[j][i] = entries[pos]
-                    pos += 1
-                cols[j][j] = diag[j]
-            basis = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-            if lattice_leq(rel, basis):
-                yield Submodule(module, basis)
+        for basis in sorted(_triangular_bases(factors, diag, d - 1, ()), key=above):
+            yield Submodule(module, basis)
+
+
+def _triangular_bases(factors, diag, j, below):
+    """The triangular bases with diagonal ``diag`` that contain the relation
+    lattice and end in the rows ``below`` (rows j+1..d-1, already checked).
+
+    Row j is (0, ..., 0, d_j, x_{j+1}, ..., x_{d-1}) with 0 <= x_k < d_k.
+    Subtracting (e_j / d_j) times it from e_j*eps_j leaves -(e_j / d_j)*x
+    on the columns after j, which lies in the span of the rows below when
+    each pivot divides what is left at its column after the rows above it
+    are taken off."""
+    if j < 0:
+        yield below
+        return
+    q = factors[j] // diag[j]
+    lead = (0,) * j + (diag[j],)
+    for entries in itertools.product(*(range(b) for b in diag[j + 1 :])):
+        rest = [-q * x for x in entries]
+        for i, row in enumerate(below):
+            t, r = divmod(rest[i], diag[j + 1 + i])
+            if r:
+                break
+            if t:
+                for k in range(i + 1, len(rest)):
+                    rest[k] -= t * row[j + 1 + k]
+        else:
+            yield from _triangular_bases(factors, diag, j - 1, (lead + entries,) + below)

@@ -28,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import add, itemgetter
 from typing import Iterator
 
 from .arith import Ideal, ideal, is_prime_ideal
@@ -41,7 +42,6 @@ from .fgmodules import (
     colon,
     scalar_multiple_submodule,
 )
-from .lattices import lattice_contains
 
 
 class PropertyViolation(RuntimeError):
@@ -213,7 +213,15 @@ class ClosedSet:
 
 def is_prime_submodule(sub: Submodule, module: FgModule | None = None) -> Ideal | None:
     """Definitional brute-force prime test; the characteristic ideal on
-    success, None otherwise."""
+    success, None otherwise.
+
+    The test runs on integer codes: each element of M is coded by its
+    index in the list ``FgModule.elements`` makes, P's members are listed
+    from its triangular basis into a bytearray, and for each scalar a the
+    codes of a*c, c in M, are tabled once per call.  Reading P's membership
+    through a's table gives the set of c with a*c in P in one gather, and
+    one bitmask AND with the complement of P finds a c outside P with a*c
+    in P."""
     module = module if module is not None else sub.parent
     if sub.parent != module:
         raise ValueError("submodule of a different module")
@@ -221,27 +229,60 @@ def is_prime_submodule(sub: Submodule, module: FgModule | None = None) -> Ideal 
         raise UnsupportedModuleError("the brute-force prime test needs a finite module")
     if sub.is_full:
         return None
-    return _prime_characteristic(sub, module, [x.coords for x in module.elements()])
+    return _prime_characteristic(sub, module, _scalar_tables(module, DEFAULT_CARDINALITY_CAP))
+
+
+def _scalar_tables(module: FgModule, card_cap: int) -> list[itemgetter]:
+    """For each scalar a in [0, exponent), the gather c -> code(a*c) over
+    the codes of a finite module, computed from the coordinates that
+    ``module.elements(card_cap)`` lists (so that cap refuses first)."""
+    factors = module.factors
+    columns = list(zip(*(x.coords for x in module.elements(card_cap))))
+    tables = []
+    for a in range(module.exponent):
+        codes = [0] * len(columns[0])
+        for column, e, s in zip(columns, factors, _strides(factors)):
+            scaled = [(a * x) % e * s for x in range(e)]
+            codes = list(map(add, codes, map(scaled.__getitem__, column)))
+        tables.append(itemgetter(*codes))
+    return tables
+
+
+def _strides(factors: tuple[int, ...]) -> list[int]:
+    """The code of x is sum x_i * s_i, s_i the product of the factors after
+    the i-th: the index of x in the list ``FgModule.elements`` makes."""
+    return [math.prod(factors[i + 1 :]) for i in range(len(factors))]
 
 
 def _prime_characteristic(
-    sub: Submodule, module: FgModule, coords_all: list[tuple[int, ...]]
+    sub: Submodule, module: FgModule, tables: list[itemgetter]
 ) -> Ideal | None:
     """The test of ``is_prime_submodule`` on a proper submodule of a finite
-    module, given the coordinates of every element of the module."""
+    module, given the scalar tables of ``_scalar_tables``."""
     factors = module.factors
-    member = frozenset(c for c in coords_all if lattice_contains(sub.basis, c))
-
-    def scaled(a, c):
-        return tuple((a * x) % e for x, e in zip(c, factors))
-
-    gens = [tuple(1 if j == i else 0 for j in range(len(factors))) for i in range(len(factors))]
-    for a in range(module.exponent):
-        if all(scaled(a, g) in member for g in gens):
+    card = module.cardinality
+    # P's members: sum t_i * row_i with 0 <= t_i < e_i / d_i over the
+    # triangular basis with pivots d_i, reduced, is each coset of the
+    # relation lattice in P once
+    members = [(0,) * len(factors)]
+    for i, row in enumerate(sub.basis):
+        members = [
+            tuple((x + t * r) % e for x, r, e in zip(v, row, factors))
+            for v in members
+            for t in range(factors[i] // row[i])
+        ]
+    strides = _strides(factors)
+    member = bytearray(card)
+    for v in members:
+        member[sum(x * s for x, s in zip(v, strides))] = 1
+    outside = ~int.from_bytes(member, "little")
+    everything = b"\x01" * card
+    for gather in tables:
+        hit = bytes(gather(member))  # hit[c] = 1 exactly when a*c is in P
+        if hit == everything:
             continue  # a*M <= P, condition vacuous for this a
-        for c in coords_all:
-            if scaled(a, c) in member and c not in member:
-                return None
+        if int.from_bytes(hit, "little") & outside:
+            return None
     return colon(sub, module)
 
 
@@ -313,15 +354,15 @@ def _fiber_classified(module: FgModule, p: int) -> list[PrimeSubmodule]:
 
 def _enumerate_bruteforce(module: FgModule, subgroup_cap: int, card_cap: int):
     out = []
-    coords_all = None
+    tables = None
     for sub in all_submodules(module, subgroup_cap):
         if sub.is_full:
             continue
-        if coords_all is None:
-            # listed at the first proper submodule, once per enumeration, so
+        if tables is None:
+            # built at the first proper submodule, once per enumeration, so
             # the subgroup cap of all_submodules still refuses first
-            coords_all = [x.coords for x in module.elements(card_cap)]
-        char = _prime_characteristic(sub, module, coords_all)
+            tables = _scalar_tables(module, card_cap)
+        char = _prime_characteristic(sub, module, tables)
         if char is not None:
             out.append(PrimeSubmodule(sub, char))
     return out

@@ -253,6 +253,26 @@ def test_verify_direct_sums_on_zmod_module(capsys, tmp_path):
     assert suite["suite"] == "direct-sums" and suite["checks"] == 0
 
 
+@pytest.mark.parametrize("suite", ["2.1", "2.3", "4.1", "all"])
+def test_verify_refuses_a_module_with_free_rank(capsys, tmp_path, suite):
+    # no suite checks a module with free rank: a pass would check nothing
+    path = tmp_path / "m.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ring": {"kind": "Z"},
+                "module": {"kind": "invariant_factors", "factors": [6], "free_rank": 1},
+            }
+        )
+    )
+    code, report = run(capsys, ["verify", str(path), "--suite", suite])
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == (
+        "the verification suites check finite modules and the Pruefer group; "
+        "Z/6 + Z over Z has free rank 1"
+    )
+
+
 def test_verify_all_on_zero_module(capsys, tmp_path):
     # cover decomposition draws from nonzero modules only
     path = module_file(tmp_path, {"kind": "Z"}, [])
@@ -568,6 +588,36 @@ def test_points_cap_refuses_the_queries_that_build_points(factors, data):
     # the closed-form radical builds no point: no cap applies
     code, report = run_file(factors, ["radical", "--submodule", zero], caps={"cardinality": 0})
     assert code == 0 and report["result"]["method"] == "closed_form"
+
+
+@CAP_SETTINGS
+@given(chains(max_len=4), st.data())
+def test_spec_running_the_brute_force_refuses_past_the_points_cap(factors, data):
+    card = math.prod(factors)
+    points = len(spec_enumerate(FgModule(ZZ, tuple(factors))))
+    cap = data.draw(st.integers(0, points - 1))
+    # the brute force's own cap on |M| speaks first, then the points cap
+    if card > cap:
+        text = f"|M| = {card} exceeds the cardinality cap {cap}"
+    else:
+        text = f"|Spec(M)| = {points} exceeds the cardinality cap {cap}"
+    for options in ([], ["--strategy", "both"], ["--strategy", "bruteforce"]):
+        code, report = run_file(factors, ["spec"], caps={"cardinality": cap}, options=options)
+        assert_refused(code, report, text)
+        code, report = run_file(
+            factors, ["spec"], caps={"cardinality": cap, "subgroup_enumeration": card - 1},
+            options=options,
+        )
+        assert_refused(code, report, f"|M| = {card} exceeds the enumeration cap {card - 1}")
+
+
+@pytest.mark.parametrize("options", [[], ["--strategy", "bruteforce"]], ids=["default", "bruteforce"])
+def test_spec_on_an_elementary_group_past_the_points_cap_refuses(options):
+    # |M| = 128 is within both caps on |M|; Spec((Z/2)^7) has 29 211 points
+    code, report = run_file([2] * 7, ["spec"], options=options)
+    assert_refused(code, report, "|Spec(M)| = 29211 exceeds the cardinality cap 4096")
+    code, report = run_file([2] * 6, ["spec"], options=options)
+    assert code == 0 and report["result"]["point_count"] == 2824
 
 
 @CAP_SETTINGS

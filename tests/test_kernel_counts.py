@@ -11,7 +11,7 @@ import pytest
 
 import modspec
 import modspec.cli
-from modspec import arith, lattices, localization, spectrum
+from modspec import arith, fgmodules, lattices, localization, spectrum
 from modspec.fgmodules import FgModule
 from test_cli import mixed_argvs
 
@@ -272,6 +272,51 @@ def test_point_building_queries_on_z2_to_the_tenth_refuse_first(
     assert code == 1 and report["status"] == "error"
     assert report["result"]["error"] == "|Spec(M)| = 229755604 exceeds the cardinality cap 4096"
     assert counts == {"_fiber_classified": 0, "_enumerate_bruteforce": 0}
+
+
+@pytest.mark.parametrize(
+    "options", [[], ["--strategy", "bruteforce"]], ids=["default-spec", "bruteforce-spec"]
+)
+def test_brute_force_spec_on_z2_to_the_ninth_refuses_first(points_built, tmp_path, capsys, options):
+    # |M| = 512 is within the subgroup cap: the points cap refuses before
+    # the walk over the 8 283 458 subgroups of F_2^9 starts
+    code, counts, report = cold_run(tmp_path, capsys, points_built, (2,) * 9, ["spec"], options)
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == "|Spec(M)| = 8283457 exceeds the cardinality cap 4096"
+    assert counts == {"_fiber_classified": 0, "_enumerate_bruteforce": 0}
+
+
+# ---------------------------------------------------------------------------
+# the brute-force oracles walk only what they check
+# ---------------------------------------------------------------------------
+
+def test_default_spec_tests_no_membership_and_lists_m_once(monkeypatch, tmp_path, capsys):
+    counts = count_calls(monkeypatch, {"lattice_contains": lattices.lattice_contains})
+    real = FgModule.elements
+    listed = []
+
+    def listing(self, *args):
+        listed.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(FgModule, "elements", listing)
+    counts, result = cold_query(tmp_path, capsys, counts, (2, 2, 2, 4), ["spec"])
+    assert result["strategy"] == "both" and result["point_count"] == 66
+    # the prime test reads P's members off its basis, and the subgroup
+    # walk checks the relation lattice on the rows as it builds them
+    assert counts["lattice_contains"] == 0
+    assert [m.factors for m in listed] == [(2, 2, 2, 4)]
+
+
+def test_direct_sums_suite_on_z3_sums_one_pair(monkeypatch, tmp_path, capsys):
+    counts = count_calls(
+        monkeypatch, {"direct_sum_with_embeddings": fgmodules.direct_sum_with_embeddings}
+    )
+    counts, result = cold_query(tmp_path, capsys, counts, (3,), ["verify", "--suite", "2.3"])
+    (suite,) = result["suites"]
+    # 200 draws of (Z/3, Z/3), each a sum check and one lifted prime
+    assert suite["checks"] == 400 and not suite["failures"]
+    assert counts == {"direct_sum_with_embeddings": 1}
 
 
 # ---------------------------------------------------------------------------
