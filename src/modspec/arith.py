@@ -314,11 +314,6 @@ class Ideal:
     ring: Ring
     gen: int
 
-    @property
-    def is_zero(self) -> bool:
-        m = self.ring.effective_modulus
-        return self.gen == (0 if m is None else m)
-
     def contains_element(self, x: int) -> bool:
         ring = self.ring
         x = int(x)
@@ -328,8 +323,7 @@ class Ideal:
         m = ring.effective_modulus
         if m is not None:
             x = x % m
-        a = 0 if self.is_zero else self.gen
-        return _divides(a, x)
+        return _divides(self.gen, x)
 
     def __str__(self) -> str:
         return f"({self.gen}) of {self.ring}"
@@ -376,8 +370,6 @@ def ideal_sum(*ideals: Ideal) -> Ideal:
 
 def ideal_radical(a: Ideal) -> Ideal:
     """Product of the distinct primes containing (gen); fixes (0) and (1)."""
-    if a.gen == 0:
-        return a
     return ideal(a.ring, squarefree_kernel(a.gen))
 
 
@@ -457,12 +449,8 @@ def bezout_decompose(f: int, ideals: list[Ideal]) -> BezoutDecomposition:
         g = g2
 
     target = f**n if m is None else pow(f, n, m)
-    if g == 0:
-        q = 0 if target == 0 else None
-        if q is None:
-            raise NotInRadicalError(f"{f} is not in the zero ideal")
-    else:
-        q = target // g
+    # g = 0 only when every ideal is (0) over Z: the witness admitted f = 0 alone
+    q = target // g if g else 0
     pairs = []
     for c, gi in zip(coeffs, gens):
         r = c * gi if m is None else (c * gi) % m

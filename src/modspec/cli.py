@@ -12,10 +12,12 @@ instance.
 enumeration strategies and insists they agree, and radical runs the closed
 form N + rM, which builds no point of the spectrum.  Every spec and a
 brute-force radical build every point, so they first count the points in
-closed form and refuse a spectrum larger than the cardinality cap; a spec
-that runs the brute force refuses |M| past its subgroup and cardinality
-caps before that.  verify refuses a module with free rank, which no suite
-checks.
+closed form and refuse a spectrum larger than the cardinality cap.  A spec
+that runs the brute force refuses in the order ``spec_enumerate`` gives:
+|M| past the subgroup cap, then past the cardinality cap, then the points.
+verify refuses a module with free rank, which no suite checks, and a
+suite that walks all of Spec(M) refuses more points than the default
+cardinality cap.
 
 The argument parser is built once, when this module is imported, and
 every ``main`` call parses with it; argparse makes a fresh namespace per
@@ -44,11 +46,10 @@ from .fgmodules import (
     submodule_from_generators,
 )
 from .localization import LocalizedModule, MultSet, localize
-from .sheaf import CoverError, cover_decompose, iso_criterion, psi_map, sections
+from .sheaf import CoverError, cover_decompose, iso_criterion, psi_map
 from .spectrum import (
     OpenSet,
     PropertyViolation,
-    basic_open,
     is_pradical,
     natural_map,
     prime_radical,
@@ -286,16 +287,11 @@ def _refuse_points_over_cap(spectrum, caps) -> None:
 
 
 def cmd_spec(module, args, caps):
-    subgroup_cap = caps.get("subgroup_enumeration", DEFAULT_SUBGROUP_CAP)
-    card_cap = caps.get("cardinality", DEFAULT_CARDINALITY_CAP)
-    if module.is_finite and args.strategy != "classified":
-        # the brute force refuses |M| past these caps as it starts: their
-        # texts come first, then the points cap, before it walks a subgroup
-        refuse_over_cap("|M|", module.cardinality, "enumeration", subgroup_cap)
-        refuse_over_cap("|M|", module.cardinality, "cardinality", card_cap)
-        _refuse_points_over_cap(spec_enumerate(module), caps)
     spectrum = spec_enumerate(
-        module, args.strategy, subgroup_cap=subgroup_cap, card_cap=card_cap
+        module,
+        args.strategy,
+        subgroup_cap=caps.get("subgroup_enumeration", DEFAULT_SUBGROUP_CAP),
+        card_cap=caps.get("cardinality", DEFAULT_CARDINALITY_CAP),
     )
     if args.strategy == "classified":
         _refuse_points_over_cap(spectrum, caps)
@@ -367,12 +363,10 @@ def cmd_sheaf(module, args, caps):
         f = int(text[2:-1])
     except ValueError as exc:
         raise ModuleFileError("--open", f"non-integer scalar in {text!r}") from exc
-    spectrum = spec_enumerate(module)
-    u = basic_open(f, module, spectrum)
-    space = sections(module, u)
     psi = psi_map(module, f, caps.get("cardinality", DEFAULT_CARDINALITY_CAP))
+    space = psi.space
     return {
-        "open": {"f": f, "fibers": open_json(u)},
+        "open": {"f": f, "fibers": open_json(space.open_set)},
         "section_space": {
             "factors": list(space.carrier.factors),
             "free_rank": space.carrier.free_rank,

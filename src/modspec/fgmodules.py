@@ -129,9 +129,7 @@ class FgModule:
     def annihilator(self) -> Ideal:
         if self.is_prufer or self.free_rank:
             return ideal(self.ring, 0)
-        if not self.factors:
-            return ideal(self.ring, 1)
-        return ideal(self.ring, self.factors[-1])
+        return ideal(self.ring, self.exponent)
 
     @property
     def exponent(self) -> int:
@@ -447,8 +445,6 @@ def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
     if sub.parent != module:
         raise ValueError("submodule of a different module")
     d = module.rank
-    if d == 0:
-        return ideal(module.ring, 1)
     basis = sub.basis
     if len(basis) == d and all(
         x == 0 for i, row in enumerate(basis) for j, x in enumerate(row) if j != i
@@ -558,9 +554,6 @@ def all_submodules(
         raise UnsupportedModuleError("subgroup enumeration needs a finite module")
     refuse_over_cap("|M|", module.cardinality, "enumeration", cap)
     d = module.rank
-    if d == 0:
-        yield module.full_submodule()
-        return
     factors = module.factors
     divisor_lists = [[a for a in range(1, e + 1) if e % a == 0] for e in factors]
 

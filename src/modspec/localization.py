@@ -109,7 +109,7 @@ class MultSet:
     def image_mod(self, a: int) -> tuple[int, ...]:
         """The image of S in Z/a (a >= 1)."""
         if self.kind == "powers":
-            f = self.value % a if a > 1 else 0
+            f = self.value % a
             out = {1 % a}
             x = 1 % a
             while True:
@@ -120,7 +120,7 @@ class MultSet:
             return tuple(sorted(out))
         p = self.value
         if p == 0 or a % p:
-            return tuple(range(a)) if a > 1 else (0,)
+            return tuple(range(a))
         return tuple(x for x in range(a) if x % p)
 
     def __str__(self) -> str:
@@ -224,8 +224,7 @@ class LocalizedModule:
         """Extension of a base-ring ideal to the localized ring."""
         if a.ring != self.source.ring:
             raise ValueError("ideal of a different base ring")
-        raw = 0 if a.is_zero else a.gen
-        return ideal(self.ring, raw)
+        return ideal(self.ring, a.gen)
 
     def __str__(self) -> str:
         return f"{self.module} localized ({self.mult_set}) over {self.ring}"
@@ -249,11 +248,7 @@ def localize(module: FgModule, mult_set: MultSet) -> LocalizedModule:
     loc_ring = mult_set.localized_ring(ring)
     if module.is_prufer:
         q = module.prufer_prime
-        if mult_set.kind == "powers":
-            dies = mult_set.value % q == 0  # includes f = 0
-        else:
-            dies = mult_set.value != q
-        model = zero_module(ZZ) if dies else prufer_module(q)
+        model = zero_module(ZZ) if mult_set.meets_prime(q, ZZ) else prufer_module(q)
         return LocalizedModule(loc_ring, model, module, (), mult_set)
     if loc_ring.inverted == 0:
         return LocalizedModule(loc_ring, zero_module(ring), module, (), mult_set)
@@ -290,8 +285,6 @@ def invariant_factors_from_orders(orders: Iterable[int]) -> tuple[int, ...]:
     element orders (a complete invariant for abelian groups)."""
     orders = list(orders)
     n = len(orders)
-    if n == 1:
-        return ()
     parts: dict[int, list[int]] = {}
     for p in prime_divisors(n):
         conj = []
@@ -338,8 +331,6 @@ def localize_bruteforce(module: FgModule, mult_set: MultSet) -> LocalizedModule:
     if not module.is_finite:
         raise UnsupportedModuleError("the brute-force oracle needs a finite module")
     loc_ring = mult_set.localized_ring(module.ring)
-    if module.is_zero:
-        return LocalizedModule(loc_ring, zero_module(module.ring), module, (), mult_set)
     elems = [x.coords for x in module.elements()]
     factors = module.factors
     a = module.exponent
@@ -508,13 +499,10 @@ def verify_localization_transfer(
     for ms in witnesses:
         loc = localize(module, ms)
         model = loc.module
-        hyp = True
-        if not model.is_zero:
-            for q in model.relevant_primes():
-                rad = prime_radical(scalar_multiple_submodule(q, model), model)
-                if rad.is_full:
-                    hyp = False
-                    break
+        hyp = not any(
+            prime_radical(scalar_multiple_submodule(q, model), model).is_full
+            for q in model.relevant_primes()
+        )
         clauses.append(
             TransferClause(
                 name=f"localized module keeps the prime radical condition [{ms}]",

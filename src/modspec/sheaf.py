@@ -285,11 +285,12 @@ class PsiMapResult:
 
 
 def psi_map(module: FgModule, f: int, cap: int = DEFAULT_CARDINALITY_CAP) -> PsiMapResult:
-    """Evaluate and test the comparison map for one basic open D(fM)."""
-    domain = localize(module, MultSet.powers_of(f))
+    """Evaluate and test the comparison map for one basic open D(fM).  The
+    section space is built before M_f, so a module that has no spectrum, or
+    whose exponent cannot be factored, is refused before f is factored."""
     spectrum = spec_enumerate(module)
-    opens = basic_open(f, module, spectrum)
-    space = sections(module, opens)
+    space = sections(module, basic_open(f, module, spectrum))
+    domain = localize(module, MultSet.powers_of(f))
 
     if domain.cardinality is None:
         # infinite localization (Pruefer surviving f): the section space over

@@ -40,6 +40,7 @@ from .fgmodules import (
     UnsupportedModuleError,
     all_submodules,
     colon,
+    refuse_over_cap,
     scalar_multiple_submodule,
 )
 
@@ -142,10 +143,7 @@ class Spectrum:
         return not self._fibers
 
     def open_set(self, primes) -> OpenSet:
-        primes = frozenset(primes)
-        if not primes <= self.fiber_primes:
-            raise ValueError(f"{sorted(primes)} is not a set of fibers of this spectrum")
-        return OpenSet(self, primes)
+        return OpenSet(self, frozenset(primes))
 
     def full_open(self) -> OpenSet:
         return OpenSet(self, self.fiber_primes)
@@ -359,8 +357,8 @@ def _enumerate_bruteforce(module: FgModule, subgroup_cap: int, card_cap: int):
         if sub.is_full:
             continue
         if tables is None:
-            # built at the first proper submodule, once per enumeration, so
-            # the subgroup cap of all_submodules still refuses first
+            # built at the first proper submodule, once per enumeration: the
+            # zero module has none, and its codes cannot be tabled
             tables = _scalar_tables(module, card_cap)
         char = _prime_characteristic(sub, module, tables)
         if char is not None:
@@ -377,31 +375,39 @@ def spec_enumerate(
 ) -> Spectrum:
     """Spec(M) by fibers.  Strategies: "bruteforce" (definitional filter of
     all subgroups), "classified" (proper subspaces of M/pM per relevant
-    prime p), or "both" (run the two and insist they agree)."""
-    if module.is_prufer or module.is_zero:
+    prime p), or "both" (run the two and insist they agree).
+
+    The classified spectrum is lazy and builds no point here.  The brute
+    force walks every subgroup, so "bruteforce" and "both" first refuse,
+    in this order, |M| past ``subgroup_cap`` (the enumeration cap), |M|
+    past ``card_cap`` (the cardinality cap), and a spectrum with more
+    points than ``card_cap``, counted in closed form."""
+    if module.is_prufer:
         return Spectrum(module, ())
     if not module.is_finite:
         raise UnsupportedModuleError("spectrum enumeration needs a finite module")
     if strategy not in ("bruteforce", "classified", "both"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    spectrum = Spectrum(module, ((p, None) for p in module.relevant_primes()))
+    if strategy == "classified":
+        return spectrum
 
+    refuse_over_cap("|M|", module.cardinality, "enumeration", subgroup_cap)
+    refuse_over_cap("|M|", module.cardinality, "cardinality", card_cap)
+    refuse_over_cap("|Spec(M)|", len(spectrum), "cardinality", card_cap)
+    brute = _enumerate_bruteforce(module, subgroup_cap, card_cap)
     if strategy == "bruteforce":
         by_fiber: dict[int, list[PrimeSubmodule]] = {}
-        for ps in _enumerate_bruteforce(module, subgroup_cap, card_cap):
+        for ps in brute:
             by_fiber.setdefault(ps.char_prime, []).append(ps)
         return Spectrum(module, by_fiber.items())
-    spectrum = Spectrum(module, ((p, None) for p in module.relevant_primes()))
-    if strategy == "both":
-        # brute force first: its caps refuse a large module before the
-        # classified fibers are built
-        brute = _enumerate_bruteforce(module, subgroup_cap, card_cap)
-        brute_set = {(ps.char_prime, ps.sub) for ps in brute}
-        classified_set = {(ps.char_prime, ps.sub) for ps in spectrum.primes()}
-        if classified_set != brute_set:
-            raise StrategyMismatchError(
-                f"spectrum strategies disagree on {module}: "
-                f"classified={len(classified_set)} bruteforce={len(brute_set)}"
-            )
+    brute_set = {(ps.char_prime, ps.sub) for ps in brute}
+    classified_set = {(ps.char_prime, ps.sub) for ps in spectrum.primes()}
+    if classified_set != brute_set:
+        raise StrategyMismatchError(
+            f"spectrum strategies disagree on {module}: "
+            f"classified={len(classified_set)} bruteforce={len(brute_set)}"
+        )
     return spectrum
 
 
@@ -548,10 +554,6 @@ class NaturalMapResult:
 
 
 def natural_map(module: FgModule, spectrum: Spectrum | None = None) -> NaturalMapResult:
-    if module.is_zero:
-        return NaturalMapResult(
-            module, (), (), True, note="zero module is primeful by convention"
-        )
     if module.is_prufer:
         return NaturalMapResult(
             module,

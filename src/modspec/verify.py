@@ -16,12 +16,14 @@ from typing import Callable, Sequence
 from .arith import ZZ, Zmod, ideal, ideal_combine, ideal_radical
 from .corpus import finite_corpus, full_corpus, prufer_corpus
 from .fgmodules import (
+    DEFAULT_CARDINALITY_CAP,
     FgModule,
     UnsupportedModuleError,
     all_submodules,
     colon,
     direct_sum_with_embeddings,
     iso_class_equal,
+    refuse_over_cap,
     scalar_multiple_submodule,
     submodule_from_generators,
 )
@@ -36,9 +38,11 @@ from .localization import (
 from .sheaf import cover_decompose, iso_criterion, psi_map, sections, sheaf_axioms_check, stalk
 from .spectrum import (
     PropertyViolation,
+    Spectrum,
+    _prime_characteristic,
+    _scalar_tables,
     basic_open,
     is_pradical,
-    is_prime_submodule,
     natural_map,
     prime_radical,
     spec_enumerate,
@@ -82,6 +86,15 @@ def _check_verifiable(module: FgModule) -> None:
         )
 
 
+def _spectrum(module: FgModule) -> Spectrum:
+    """Spec(M) for a suite that walks all of its points: refused, before a
+    point is built, when the closed-form count passes the default
+    cardinality cap."""
+    spectrum = spec_enumerate(module)
+    refuse_over_cap("|Spec(M)|", len(spectrum), "cardinality", DEFAULT_CARDINALITY_CAP)
+    return spectrum
+
+
 def _scalar_bound(module: FgModule) -> int:
     """f ranges over 0..L with L one past the largest relevant prime."""
     primes = module.relevant_primes() if module.is_finite else (module.prufer_prime,)
@@ -90,7 +103,7 @@ def _scalar_bound(module: FgModule) -> int:
 
 def _mult_sets(module: FgModule) -> list[MultSet]:
     out = [MultSet.powers_of(f) for f in range(0, _scalar_bound(module) + 1)]
-    if module.is_finite and not module.is_zero:
+    if module.is_finite:
         out += [MultSet.complement_of_prime(p) for p in module.relevant_primes()]
     return out
 
@@ -172,7 +185,7 @@ def check_stalks(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     failures = []
     checks = 0
     for m in _modules(modules, finite_only=True):
-        for ps in spec_enumerate(m).primes():
+        for ps in _spectrum(m).primes():
             checks += 1
             res = stalk(m, ps)
             expected = localize(m, MultSet.complement_of_prime(ps.char_prime))
@@ -264,14 +277,14 @@ def check_prufer_controls(modules: Sequence[FgModule] | None = None) -> SuiteRes
     mods = [m for m in (modules if modules is not None else prufer_corpus()) if m.is_prufer]
     for m in mods:
         checks += 3
-        if not spec_enumerate(m).is_empty:
+        spec = spec_enumerate(m)
+        if not spec.is_empty:
             failures.append(f"{m}: spectrum not empty")
         res = is_pradical(m)
         if res.holds or res.certificate is None or res.certificate.prime_ideal != ideal(
             ZZ, m.prufer_prime
         ):
             failures.append(f"{m}: missing or wrong certificate")
-        spec = spec_enumerate(m)
         space = sections(m, spec.full_open())
         if not space.carrier.is_zero:
             failures.append(f"{m}: global sections nonzero")
@@ -367,6 +380,7 @@ def check_prime_correspondence(modules: Sequence[FgModule] | None = None) -> Sui
     failures = []
     checks = 0
     for m in _modules(modules):
+        _spectrum(m)  # refused before prime_correspondence builds its points
         for ms in _mult_sets(m):
             checks += 1
             try:
@@ -414,15 +428,16 @@ def check_direct_sums(modules: Sequence[FgModule] | None = None) -> SuiteResult:
 
 
 def _direct_sum_checks(m1: FgModule, m2: FgModule) -> tuple[int, list[str]]:
-    """The checks and failures of criterion 10 on one pair (m1, m2)."""
+    """The checks and failures of criterion 10 on one pair (m1, m2).  The
+    definitional prime test of each lift reads the scalar tables of the
+    sum, built once per pair, as ``is_prime_submodule`` would build them."""
     failures = []
     m, e1, e2 = direct_sum_with_embeddings(m1, m2)
     checks = 1
     if not is_pradical(m).holds:
         failures.append(f"{m1} (+) {m2}: prime radical condition lost")
-    if m1.is_zero:
-        return checks, failures
-    for ps in spec_enumerate(m1).primes():
+    tables = None
+    for ps in _spectrum(m1).primes():
         checks += 1
         p = ps.char_prime
         gens = [e1.apply(m1.element(row)) for row in ps.sub.basis]
@@ -434,7 +449,9 @@ def _direct_sum_checks(m1: FgModule, m2: FgModule) -> tuple[int, list[str]]:
             and colon(lifted, m) == ideal(m.ring, p)
         )
         if ok and m.cardinality <= 512:
-            ok = is_prime_submodule(lifted, m) == ideal(m.ring, p)
+            if tables is None:
+                tables = _scalar_tables(m, DEFAULT_CARDINALITY_CAP)
+            ok = _prime_characteristic(lifted, m, tables) == ideal(m.ring, p)
         if not ok:
             failures.append(f"{m1} (+) {m2}: prime over ({p}) fails to lift")
     return checks, failures
@@ -484,7 +501,7 @@ def check_cover_decomposition(modules: Sequence[FgModule] | None = None) -> Suit
         for i in range(k):
             subset = {p for p in d_f if rng.random() < 0.6}
             subsets.append(subset)
-        missing = set(d_f) - set().union(*subsets) if subsets else set(d_f)
+        missing = set(d_f) - set().union(*subsets)
         for p in missing:
             subsets[rng.randrange(k)].add(p)
         hs = []
@@ -573,10 +590,10 @@ def check_primeful(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     checks = 0
     for m in _modules(modules, finite_only=True):
         checks += 1
-        if not natural_map(m).surjective:
+        spectrum = _spectrum(m)
+        if not natural_map(m, spectrum).surjective:
             failures.append(f"{m}: natural map not surjective")
         if m.cardinality <= 64:
-            spectrum = spec_enumerate(m)
             for sub in all_submodules(m):
                 checks += 1
                 if variety(sub, m, spectrum) != variety(prime_radical(sub, m), m, spectrum):

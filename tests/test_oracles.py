@@ -77,9 +77,10 @@ def prime_characteristic_by_tuples(sub, module):
 
 
 def direct_sums_without_memo(modules):
-    """Criterion 10 with every one of the 200 draws checked afresh.  The
-    library functions are looked up on ``verify`` at call time, so a test
-    that patches them there patches this reference too."""
+    """Criterion 10 with every one of the 200 draws checked afresh, and the
+    scalar tables of the sum built anew for each lifted prime.  The library
+    functions are looked up on ``verify`` at call time, so a test that
+    patches them there patches this reference too."""
     failures = []
     checks = 0
     pool = [m for m in verify._modules(modules, finite_only=True) if m.ring.modulus is None]
@@ -104,7 +105,8 @@ def direct_sums_without_memo(modules):
                 and verify.colon(lifted, m) == verify.ideal(m.ring, p)
             )
             if ok and m.cardinality <= 512:
-                ok = verify.is_prime_submodule(lifted, m) == verify.ideal(m.ring, p)
+                tables = verify._scalar_tables(m, 4096)
+                ok = verify._prime_characteristic(lifted, m, tables) == verify.ideal(m.ring, p)
             if not ok:
                 failures.append(f"{m1} (+) {m2}: prime over ({p}) fails to lift")
     return SuiteResult(
@@ -229,13 +231,37 @@ def test_direct_sums_match_the_memo_free_reference(pool):
 
 @pytest.mark.parametrize("pool", [ONE_MODULE, MIXED_POOL], ids=["one-module", "mixed"])
 def test_failing_lifts_repeat_once_per_draw(monkeypatch, pool):
-    monkeypatch.setattr(verify, "is_prime_submodule", lambda sub, module: None)
+    monkeypatch.setattr(verify, "_prime_characteristic", lambda sub, module, tables: None)
     got = check_direct_sums(pool)
     assert got == direct_sums_without_memo(pool)
     if pool is ONE_MODULE:
         # Z/3 (+) Z/3 has one prime over (3) to lift, and every draw is that pair
         assert got.checks == 400
         assert got.failures == ("Z/3 over Z (+) Z/3 over Z: prime over (3) fails to lift",) * 200
+
+
+@pytest.mark.parametrize("m1, m2", [((3,), (3,)), ((2, 4), (6,)), ((6,), (2, 4, 4))], ids=str)
+def test_each_pair_tables_its_sum_once(monkeypatch, m1, m2):
+    tabled = []
+    real = verify._scalar_tables
+
+    def counting(module, card_cap):
+        tabled.append(module)
+        return real(module, card_cap)
+
+    monkeypatch.setattr(verify, "_scalar_tables", counting)
+    lifts = []
+    real_test = verify._prime_characteristic
+
+    def recording(sub, module, tables):
+        lifts.append(module)
+        return real_test(sub, module, tables)
+
+    monkeypatch.setattr(verify, "_prime_characteristic", recording)
+    checks, failures = verify._direct_sum_checks(FgModule(ZZ, m1), FgModule(ZZ, m2))
+    # every prime of m1 lifts and is tested on the tables of the one sum
+    assert not failures and len(lifts) == checks - 1 >= 1
+    assert len(tabled) == 1 and set(lifts) == set(tabled)
 
 
 def test_each_distinct_pair_is_summed_once(monkeypatch):

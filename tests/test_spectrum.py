@@ -3,11 +3,12 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modspec import spectrum as spectrum_module
-from modspec.arith import ZZ, Zmod, ideal
+from modspec import spectrum as spectrum_module, verify
+from modspec.arith import ZZ, NotInRadicalError, Ring, Zmod, bezout_decompose, ideal, ideal_radical
 from modspec.cli import main
 from modspec.corpus import finite_corpus
 from modspec.fgmodules import (
+    CapExceededError,
     FgModule,
     UnsupportedModuleError,
     all_submodules,
@@ -20,6 +21,13 @@ from modspec.fgmodules import (
     submodule_from_generators,
     submodule_from_lattice,
     zero_module,
+)
+from modspec.localization import (
+    LocalizedModule,
+    MultSet,
+    invariant_factors_from_orders,
+    localize,
+    localize_bruteforce,
 )
 from modspec.sheaf import cover_decompose, psi_map, sections, stalk
 from modspec.spectrum import (
@@ -468,3 +476,112 @@ def test_cli_spec_refuses_a_large_module_before_building_fibers(built, tmp_path,
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["error"] == "|M| = 1024 exceeds the enumeration cap 512"
     assert built == []
+
+
+def test_library_spec_running_the_brute_force_refuses_past_the_points_cap(built, monkeypatch):
+    # |M| = 512 passes both caps on |M|; F_2^9 has 8 283 458 subspaces to walk
+    def walk(*args):
+        raise AssertionError("the brute force walked the subgroups")
+
+    monkeypatch.setattr(spectrum_module, "_enumerate_bruteforce", walk)
+    m = FgModule(ZZ, (2,) * 9)
+    for strategy in ("both", "bruteforce"):
+        with pytest.raises(CapExceededError) as exc:
+            spec_enumerate(m, strategy)
+        assert str(exc.value) == "|Spec(M)| = 8283457 exceeds the cardinality cap 4096"
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "caps, text",
+    [
+        ({"subgroup_cap": 7, "card_cap": 7}, "|M| = 8 exceeds the enumeration cap 7"),
+        ({"card_cap": 7}, "|M| = 8 exceeds the cardinality cap 7"),
+        ({"card_cap": 8}, "|Spec(M)| = 15 exceeds the cardinality cap 8"),
+    ],
+)
+@pytest.mark.parametrize("strategy", ["both", "bruteforce"])
+def test_library_spec_refuses_in_the_order_of_its_caps(built, strategy, caps, text):
+    # |M| = 8, and the points are the 1 + 7 + 7 proper subspaces of F_2^3
+    m = FgModule(ZZ, (2, 2, 2))
+    assert len(spec_enumerate(m)) == 15
+    spec_enumerate.cache_clear()
+    with pytest.raises(CapExceededError) as exc:
+        spec_enumerate(m, strategy, **caps)
+    assert str(exc.value) == text
+    assert built == []
+
+
+@pytest.mark.parametrize("suite", ["3.1", "2.3", "2.4", "all"])
+def test_cli_verify_refuses_a_spectrum_past_the_points_cap(built, tmp_path, capsys, suite):
+    # Spec((Z/2)^7) has 29 211 points; |M| = 128 passes every cap on |M|
+    path = write_module(tmp_path, (2,) * 7)
+    assert main(["--quiet", "verify", path, "--suite", suite]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["result"]["error"] == "|Spec(M)| = 29211 exceeds the cardinality cap 4096"
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify.check_strategy_agreement,
+        verify.check_stalks,
+        verify.check_prime_correspondence,
+        verify.check_direct_sums,
+        verify.check_primeful,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_suites_that_walk_the_spectrum_refuse_past_the_points_cap(built, check):
+    with pytest.raises(CapExceededError, match=r"^\|Spec\(M\)\| = 29211 exceeds"):
+        check([FgModule(ZZ, (2,) * 7)])
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the zero module through the general path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)
+def test_the_zero_module_through_the_general_path(ring):
+    z = zero_module(ring)
+    assert colon(z.zero_submodule()) == ideal(ring, 1)
+    assert [s.basis for s in all_submodules(z)] == [()]
+    for strategy in ("bruteforce", "classified", "both"):
+        spec = spec_enumerate(z, strategy)
+        assert spec.is_empty and spec.fibers == () and len(spec) == 0
+    nm = natural_map(z)
+    assert nm.surjective and nm.assignments == () and nm.codomain_primes == ()
+    # the note that is_pradical gives is kept: the pradical report carries it
+    assert is_pradical(z).note == "zero module: no prime examined fails"
+    for ms in (MultSet.powers_of(0), MultSet.powers_of(2), MultSet.complement_of_prime(2)):
+        slow = localize_bruteforce(z, ms)
+        assert slow == LocalizedModule(ms.localized_ring(ring), z, z, (), ms)
+        assert slow == localize(z, ms)
+
+
+def test_the_zero_module_has_no_branch_of_its_own():
+    # an unknown strategy is refused, and the natural map carries no note
+    z = zero_module(ZZ)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        spec_enumerate(z, "nope")
+    assert natural_map(z).note == ""
+
+
+def test_degenerate_arithmetic_through_the_general_path():
+    assert invariant_factors_from_orders([1]) == ()
+    for ring in (ZZ, Ring(local_prime=2), Ring(inverted=6)):
+        assert ideal_radical(ideal(ring, 0)) == ideal(ring, 0)
+    dec = bezout_decompose(0, [ideal(ZZ, 0), ideal(ZZ, 0)])
+    assert dec.exponent == 1 and dec.pairs == ((0, 0), (0, 0))
+    with pytest.raises(NotInRadicalError):
+        bezout_decompose(1, [ideal(ZZ, 0)])
+
+
+def test_an_open_set_outside_the_spectrum_is_refused_by_open_set():
+    spec = spec_enumerate(FgModule(ZZ, (6,)))
+    assert spec.open_set([3]).fiber_primes == {3}
+    with pytest.raises(ValueError, match="^open set holds primes outside the spectrum$"):
+        spec.open_set({5})
