@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 
 DEFAULT_FACTOR_BOUND = 10**7
 
@@ -55,7 +56,7 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
             primes = _split_into_primes(n, _RHO_STEPS_PER_ROOT * math.isqrt(bound))
             if primes is not None:
                 # no prime lies strictly between bound and d*
-                d_star = bound + 1 + bound % 2
+                d_star = _first_divisor_past(bound)
                 large = math.prod(p for p in primes if p > bound)
                 if large >= d_star * d_star:
                     raise FactorBoundExceeded(
@@ -77,6 +78,22 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
 # Trial division up to 2^10 settles every cofactor below 2^20 by itself.
 _TRIAL_LIMIT = 1 << 10
 
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+# The primes below 2^10 and their product: one gcd with the product shows
+# which of them divide n.
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
 # The first 13 prime bases make Miller-Rabin exact below psi_13 (Sorenson
 # and Webster, Math. Comp. 86, 2017).  The first 12 are not enough:
 # psi_12 = 318665857834031151167461 is a strong pseudoprime to all of them.
@@ -94,13 +111,30 @@ _RHO_BATCH = 128
 def _trial_divide(n: int, d: int, stop: int, factors: dict[int, int]) -> tuple[int, int]:
     """Divide out of n the trial divisors from d (2, then odd) up to stop,
     while their square is at most the cofactor.  Records the primes found
-    in ``factors``; returns the cofactor and the first divisor not tried."""
-    if d == 2 and stop >= 2 and n >= 4:
-        k = (n & -n).bit_length() - 1  # the exponent of 2 in n
-        if k:
-            factors[2] = k
-            n >>= k
-        d = 3
+    in ``factors``; returns the cofactor and the first divisor not tried.
+
+    From d = 2 the divisors below 2^10 are read off ``_SMALL_PRIMES``:
+    for n >= 2^10 one gcd with ``_SMALL_PRIMORIAL`` shows which of them
+    divide n, and only those are divided out.  The divisor returned is the
+    first past min(stop, 2^10).  Where the loop would have stopped sooner,
+    at the square root, the cofactor left is 1 or a prime below the square
+    of that divisor, so the caller decides on it as it would after the
+    loop."""
+    if d == 2:
+        d = _TRIAL_LIMIT + 1 if stop >= _TRIAL_LIMIT else _first_divisor_past(stop)
+        # g keeps the small primes not yet divided out; below 2^10 the few
+        # primes up to sqrt(n) cost less than the gcd
+        g = n if n < _TRIAL_LIMIT else math.gcd(n, _SMALL_PRIMORIAL)
+        for p in _SMALL_PRIMES:
+            if p * p > n or g == 1 or p >= d:
+                break
+            if g % p == 0:
+                g //= p
+                k = 0
+                while n % p == 0:
+                    n //= p
+                    k += 1
+                factors[p] = k
     while d * d <= n and d <= stop:
         if n % d == 0:
             k = 0
@@ -110,6 +144,11 @@ def _trial_divide(n: int, d: int, stop: int, factors: dict[int, int]) -> tuple[i
             factors[d] = k
         d += 2
     return n, d
+
+
+def _first_divisor_past(x: int) -> int:
+    """The first trial divisor (2, then odd) above x."""
+    return 2 if x < 2 else x + 1 + x % 2
 
 
 def _is_prime_mr(n: int) -> bool:

@@ -30,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .arith import ZZ, Ideal, Ring, Zmod, is_prime
 from .fgmodules import (
@@ -86,23 +87,59 @@ def _decode_int(value, field: str) -> int:
     raise ModuleFileError(field, f"expected an integer or decimal string, got {value!r}")
 
 
-def _encode_int(x: int):
-    return str(x) if abs(x) > INT_STRING_BOUND else x
+def report_text(obj) -> str:
+    """The canonical JSON text of a report: sorted keys, two-space indent,
+    ASCII only, integers past ``INT_STRING_BOUND`` as decimal strings,
+    tuples as lists and every key made a string.  One recursion normalizes
+    and writes, byte for byte as ``json.dumps(..., sort_keys=True,
+    indent=2)`` would write the normalized report."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+def _write(obj, out: list[str], newline: str) -> None:
+    """Append the text of obj to ``out``; ``newline`` breaks the line and
+    indents it to obj's own depth."""
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        big = abs(obj) > INT_STRING_BOUND
+        out.append(encode_basestring_ascii(str(obj)) if big else int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = inner
+        if isinstance(obj, dict):
+            out.append("{")
+            for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+                out += (sep, encode_basestring_ascii(key), ": ")
+                _write(value, out, inner)
+                sep = comma
+            out += (newline, "}")
+        else:
+            out.append("[")
+            for value in obj:
+                out.append(sep)
+                _write(value, out, inner)
+                sep = comma
+            out += (newline, "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def jsonable(obj):
-    """Recursively make a report JSON-safe, stringifying huge integers."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return _encode_int(obj)
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """A report made JSON-safe, as :func:`report_text` normalizes it."""
+    return json.loads(report_text(obj))
 
 
 def ring_to_json(ring: Ring) -> dict:
@@ -523,7 +560,7 @@ def _report(inputs: dict, result: dict, status: str, quiet: bool) -> int:
         "result": result,
         "status": status,
     }
-    sys.stdout.write(json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(report_text(report) + "\n")
     if not quiet:
         line = f"modspec {command}: {status}"
         if status == "violation":

@@ -30,6 +30,7 @@ from .arith import (
     Ideal,
     Ring,
     ZZ,
+    coprime_part,
     ideal,
     is_prime,
     prime_divisors,
@@ -82,19 +83,30 @@ class MultSet:
         if self.kind not in ("powers", "prime_complement"):
             raise ValueError(f"unknown multiplicative set kind {self.kind!r}")
 
-    def localized_ring(self, base: Ring) -> Ring:
-        """The ring S^-1 R; ``inverted = 0`` marks a set that contains 0."""
+    def localized_ring(self, base: Ring, module: FgModule | None = None) -> Ring:
+        """The ring S^-1 R; ``inverted = 0`` marks a set that contains 0.
+
+        For the powers of f it is R[1/r], r the product of the primes of f
+        (over Z/n, those that also divide n).  The primes that divide the
+        exponent of ``module`` are read off ``module.primary``, and only
+        the part coprime to them is factored; f = 0 and a nilpotent f
+        factor nothing."""
         if base.is_localized:
             raise ValueError("localize over the base rings Z and Z/n")
         if self.kind == "powers":
             f = base.reduce(self.value)
-            if base.modulus is None:
-                return Ring(inverted=squarefree_kernel(f))  # 0 for f = 0
-            primes = prime_divisors(base.modulus)
-            shared = [p for p in primes if f % p == 0]
+            n = base.modulus
             # f is nilpotent in Z/n iff every prime of n divides it
-            inverted = 0 if len(shared) == len(primes) else math.prod(shared)
-            return Ring(modulus=base.modulus, inverted=inverted)
+            if f == 0 or (n is not None and coprime_part(n, f) == 1):
+                return Ring(modulus=n, inverted=0)
+            known = () if module is None or module.is_prufer else module.primary
+            if n is not None:
+                f = math.gcd(f, n)
+            inverted = math.prod(p for p in known if f % p == 0)
+            rest = abs(coprime_part(f, inverted))  # no prime of the module divides it
+            if rest > 1:
+                inverted *= squarefree_kernel(rest)
+            return Ring(modulus=n, inverted=inverted)
         p = self.value
         if base.modulus is not None and (p == 0 or base.modulus % p):
             raise ValueError(f"({p}) is not a prime ideal of {base}")
@@ -245,7 +257,7 @@ def localize(module: FgModule, mult_set: MultSet) -> LocalizedModule:
     rules, and a degenerate S gives 0.
     """
     ring = module.ring
-    loc_ring = mult_set.localized_ring(ring)
+    loc_ring = mult_set.localized_ring(ring, module)
     if module.is_prufer:
         q = module.prufer_prime
         model = zero_module(ZZ) if mult_set.meets_prime(q, ZZ) else prufer_module(q)

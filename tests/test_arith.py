@@ -211,6 +211,31 @@ def test_refusals_of_large_primes_skip_trial_division(trial_stops):
         trial_stops.clear()
 
 
+def test_small_prime_table():
+    primes = tuple(sympy.primerange(2, 2**10 + 1))
+    assert arith._SMALL_PRIMES == primes
+    assert arith._SMALL_PRIMORIAL == math.prod(primes)
+
+
+# a*P*Q with P, Q in the ranges of the benchmark's large-prime queries and
+# a made of small primes, some of them near 2^10
+DEEP_SHAPED = [
+    a * p * q
+    for a in (1, 2, 6, 30, 4 * 9 * 5, 1021, 2 * 1019 * 1021, 997**2, 31**3)
+    for p, q in ((10_007, 10_009), (18_013, 199_999))
+]
+
+
+@pytest.mark.parametrize("bound", (DEFAULT_FACTOR_BOUND, 2, 3, 10, 1023, 1024, 1025))
+def test_factorize_matches_trial_division_on_a_sweep(bound):
+    # every n below 2^14, where the square-root stop and the bound meet the
+    # small-prime table, then numbers shaped like the benchmark's
+    for n in range(1, 1 << 14):
+        assert outcome(factorize, n, bound) == outcome(factorize_by_trial_division, n, bound), n
+    for n in DEEP_SHAPED:
+        assert_matches_reference(n, bound)
+
+
 def test_p_part_and_coprime_part_reject_what_they_cannot_strip():
     assert p_part(-72, 3) == 9
     assert coprime_part(-90, 3) == -10

@@ -17,6 +17,7 @@ import modspec
 from modspec import sheaf as sheaf_layer, spectrum as spectrum_layer
 from modspec.arith import ZZ
 from modspec.cli import (
+    INT_STRING_BOUND,
     ModuleFileError,
     build_parser,
     jsonable,
@@ -24,6 +25,7 @@ from modspec.cli import (
     main,
     module_to_json,
     parse_module_file,
+    report_text,
 )
 from modspec.fgmodules import FgModule
 from modspec.spectrum import spec_enumerate
@@ -122,6 +124,69 @@ def test_jsonable_stringifies_big_integers():
     assert out["big"] == str(2**60)
     assert out["neg"] == str(-(2**60))
     assert out["flag"] is True
+
+
+def reference_jsonable(obj):
+    """The normalization that ``report_text`` replaced, kept as its reference."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) > INT_STRING_BOUND else obj
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_report_text(obj):
+    return json.dumps(reference_jsonable(obj), sort_keys=True, indent=2)
+
+
+EDGE_INTS = (2**53, -(2**53), 2**53 + 1, -(2**53 + 1), 0, 1, -1)
+# quotes, backslashes, control characters and non-ASCII text
+report_strings = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t/\u00e9\u2028\U0001f600'), st.characters())
+)
+report_keys = st.one_of(report_strings, st.integers(), st.sampled_from(EDGE_INTS + (True, None)))
+report_scalars = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(EDGE_INTS), st.integers(), report_strings
+)
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(report_keys, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def nested(depth, leaf):
+    """leaf inside ``depth`` containers, alternating dict, list and tuple."""
+    for i in range(depth):
+        leaf = ({f"k{i}": leaf, i: [], "e": {}}, [leaf, ()], (leaf,))[i % 3]
+    return leaf
+
+
+@given(st.one_of(report_values, st.builds(nested, st.integers(0, 60), report_values)))
+@settings(max_examples=120, deadline=None)
+def test_report_text_matches_the_json_module(obj):
+    assert report_text(obj) == reference_report_text(obj)
+    assert jsonable(obj) == reference_jsonable(obj)
+
+
+def test_report_text_edges():
+    obj = {1: True, "1": 1, "big": [2**53, 2**53 + 1, -(2**53 + 1)], "t": (None, "\u00e9\"\\")}
+    assert report_text(obj) == reference_report_text(obj)
+    assert '"9007199254740993"' in report_text(obj) and "9007199254740992" in report_text(obj)
+    assert report_text({}) == "{}" and report_text([()]) == "[\n  []\n]"
+    for bad in (1.5, {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            report_text(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,9 @@ MODULES = {
     "unknown-cap": factors(Z, [6], caps={"factor_bound": 2}),
     # 10000019 * 10000079: past the default factor bound
     "two-large-primes": factors(Z, [100000980001501]),
+    "z2p": factors(Z, [2 * 10000019]),
+    "zmod30": factors({"kind": "Zmod", "n": 30}, [2]),
+    "non-ascii-ring": factors({"kind": "Z\u00e9"}, [2]),
 }
 
 # (argv with @name for the file of MODULES[name], digest of (exit code, stdout))
@@ -125,6 +128,24 @@ CASES = [
     (["verify", "@free", "--suite", "2.1"], "7b22a87bc1325e23"),
     (["radical", "@z12"], "4355a46b19d348dc"),
     (["--strategy", "fast", "spec", "@z12"], "4355a46b19d348dc"),
+    # an echoed integer past INT_STRING_BOUND, and a non-ASCII error text
+    (["localize", "@z12", "--invert", "9007199254740993"], "43c1672ecf870a03"),
+    (["localize", "@z12", "--invert", "-9007199254740993"], "a89c32337ac53672"),
+    (["spec", "@non-ascii-ring"], "9350130a1b4ee88e"),
+    # the base ring of M_f: primes of f inside and outside the module's
+    # exponent, and nilpotent f over Z/n
+    (["localize", "@free", "--invert", "70"], "2a15c205100764ef"),
+    (["localize", "@zero", "--invert", "12"], "22ab4075e4c2e77f"),
+    (["localize", "@zmod30", "--invert", "15"], "2d83ed017a7e2cbc"),
+    (["localize", "@zmod30", "--invert", "30"], "938203bb270f0a27"),
+    (["localize", "@zmod12", "--invert", "6"], "eef9e1b8d2de6edd"),
+    (["localize", "@zero-zmod4", "--invert", "2"], "d17333f57b2ae163"),
+    (["iso", "@zmod30", "--f", "3", "--g", "9"], "3bfe29eee8444f46"),
+    (["localize", "@two-large-primes", "--invert", "0"], "0e5f80c8accd41a1"),
+    # the module's factor bound refusal comes first, as for sheaf
+    (["localize", "@two-large-primes", "--invert", "100002240012463"], "ab2c21d70fac1635"),
+    # 10000019 divides the exponent, so only 10000079 is factored
+    (["localize", "@z2p", "--invert", "100000980001501"], "1b66fd0e070fc464"),
 ]
 
 # a failed property: with every localization declared non-isomorphic, the

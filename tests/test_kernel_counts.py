@@ -172,11 +172,33 @@ def test_cover_on_z_2pq_factors_a_few_times(factorize_calls, tmp_path, capsys):
     assert counts["factorize"] <= 3
 
 
+@pytest.mark.parametrize(
+    "f, calls", [(2 * 10007, 1), (-(10009**2), 1), (3 * 10007 * 10009, 2)], ids=["2p", "-q^2", "3pq"]
+)
+def test_localize_on_z_2pq_factors_once_per_query(factorize_calls, tmp_path, capsys, f, calls):
+    # the primes of f that divide the exponent come from FgModule.primary:
+    # only the part of f coprime to 2PQ, here 3, is factored again
+    counts, result = cold_query(
+        tmp_path, capsys, factorize_calls, Z_2PQ, ["localize", "--invert", str(f)]
+    )
+    assert result["localized"]["base_ring"] == f"Z[1/{arith.squarefree_kernel(f)}]"
+    assert counts["factorize"] == calls
+
+
+def test_iso_on_z_2pq_factors_once(factorize_calls, tmp_path, capsys):
+    counts, result = cold_query(
+        tmp_path, capsys, factorize_calls, Z_2PQ, ["iso", "--f", "20014", "--g", str(4 * 10007)]
+    )
+    assert result["radicals_equal"] and result["modules_isomorphic"]
+    assert result["localized_f"]["base_ring"] == "Z[1/20014]"
+    assert counts["factorize"] == 1
+
+
 def test_iso_radicals_on_z6_cubed_factor_nothing(monkeypatch, tmp_path, capsys):
     # every prime of (fM : M) divides the exponent, whose primes
     # FgModule.primary holds, so the radicals factor nothing.  The base ring
     # Z[1/rad f] of M_f is built from rad f, whose primes may lie outside M:
-    # MultSet.localized_ring factors f and g.
+    # MultSet.localized_ring factors the parts of f and g coprime to them.
     allowed = {FgModule.primary.fget.__code__, localization.MultSet.localized_ring.__code__}
     real = arith.factorize
     outside = []
