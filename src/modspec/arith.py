@@ -94,11 +94,19 @@ def _primes_below(n: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
-# The first 13 prime bases make Miller-Rabin exact below psi_13 (Sorenson
-# and Webster, Math. Comp. 86, 2017).  The first 12 are not enough:
-# psi_12 = 318665857834031151167461 is a strong pseudoprime to all of them.
+# psi_k (OEIS A014233) is the least odd composite that is a strong
+# pseudoprime to each of the first k prime bases, so below psi_k those k
+# bases make Miller-Rabin exact.  Jaeschke (Math. Comp. 61, 1993) gives
+# psi_1 to psi_8, Jiang and Deng (Math. Comp. 83, 2014) psi_9 to psi_11,
+# and Sorenson and Webster (Math. Comp. 86, 2017) psi_12 and psi_13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI13 = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
+_PSI13 = _MR_PSI[-1]
 
 # Pollard-Brent finds a prime factor p after about sqrt(p) steps, so a
 # budget of a multiple of isqrt(bound) splits off any factor <= bound with
@@ -152,19 +160,21 @@ def _first_divisor_past(x: int) -> int:
 
 
 def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd 41 < n < _PSI13."""
+    """Deterministic Miller-Rabin for odd 41 < n < _PSI13: the first k
+    bases, k the least index with n < psi_k."""
     s = ((n - 1) & (1 - n)).bit_length() - 1
     t = (n - 1) >> s
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(a, t, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 

@@ -22,6 +22,13 @@ cardinality cap.
 The argument parser is built once, when this module is imported, and
 every ``main`` call parses with it; argparse makes a fresh namespace per
 parse, so no argument carries over from one call to the next.
+
+A process loads only the modules its command runs.  This module imports
+at its top only what nearly every command needs: arith, lattices,
+fgmodules and spectrum.  A handler that needs more imports it itself:
+localize imports localization; sheaf, cover and iso import sheaf, which
+loads localization; verify imports verify, which loads everything.  The
+parser names the suites without importing verify.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from .arith import ZZ, Ideal, Ring, Zmod, is_prime
 from .fgmodules import (
@@ -39,15 +47,12 @@ from .fgmodules import (
     CapExceededError,
     FgModule,
     Submodule,
-    UnsupportedModuleError,
     colon,
     normalize,
     prufer_module,
     refuse_over_cap,
     submodule_from_generators,
 )
-from .localization import LocalizedModule, MultSet, localize
-from .sheaf import CoverError, cover_decompose, iso_criterion, psi_map
 from .spectrum import (
     OpenSet,
     PropertyViolation,
@@ -56,11 +61,16 @@ from .spectrum import (
     prime_radical,
     spec_enumerate,
 )
-from .verify import SUITES, run_suite
+
+if TYPE_CHECKING:
+    from .localization import LocalizedModule, MultSet
 
 SCHEMA_VERSION = 1
 INT_STRING_BOUND = 2**53
 CAP_KEYS = ("cardinality", "subgroup_enumeration")
+# the keys of verify.SUITES, spelled out so that building the parser does
+# not import verify; a test checks that the two agree
+SUITE_NAMES = ("2.1", "2.3", "2.4", "3.1", "3.2", "4.1", "sheaf-axioms")
 
 
 class ModuleFileError(ValueError):
@@ -85,6 +95,13 @@ def _decode_int(value, field: str) -> int:
         if body.isdigit():
             return int(value)
     raise ModuleFileError(field, f"expected an integer or decimal string, got {value!r}")
+
+
+def _decode_cap(value, field: str) -> int:
+    cap = _decode_int(value, field)
+    if cap < 0:
+        raise ModuleFileError(field, f"cap must be >= 0, got {cap}")
+    return cap
 
 
 def report_text(obj) -> str:
@@ -244,7 +261,7 @@ def load_module_file(text: str) -> tuple[FgModule, dict]:
                 f"caps.{key}",
                 "not supported; the caps that apply are cardinality and subgroup_enumeration",
             )
-    return module, {key: _decode_int(caps[key], f"caps.{key}") for key in CAP_KEYS if key in caps}
+    return module, {key: _decode_cap(caps[key], f"caps.{key}") for key in CAP_KEYS if key in caps}
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +321,8 @@ def _parse_submodule(module: FgModule, text: str) -> Submodule:
 
 
 def _mult_set_from_args(args) -> MultSet:
+    from .localization import MultSet
+
     if args.invert is not None and args.at is not None:
         raise ModuleFileError("--invert/--at", "choose exactly one")
     if args.invert is not None:
@@ -385,6 +404,8 @@ def cmd_pradical(module, args, caps):
 
 
 def cmd_localize(module, args, caps):
+    from .localization import localize
+
     ms = _mult_set_from_args(args)
     return {
         "mult_set": str(ms),
@@ -393,6 +414,8 @@ def cmd_localize(module, args, caps):
 
 
 def cmd_sheaf(module, args, caps):
+    from .sheaf import psi_map
+
     text = args.open.strip()
     if not (text.startswith("D(") and text.endswith(")")):
         raise ModuleFileError("--open", f"expected an open of the form D(f), got {text!r}")
@@ -418,6 +441,8 @@ def cmd_sheaf(module, args, caps):
 
 
 def cmd_cover(module, args, caps):
+    from .sheaf import cover_decompose
+
     try:
         hs = [int(h) for h in args.hs.split(",") if h.strip()]
     except ValueError as exc:
@@ -436,6 +461,8 @@ def cmd_cover(module, args, caps):
 
 
 def cmd_iso(module, args, caps):
+    from .sheaf import iso_criterion
+
     res = iso_criterion(module, args.f, args.g)
     return {
         "f": args.f,
@@ -450,6 +477,8 @@ def cmd_iso(module, args, caps):
 
 
 def cmd_verify(module, args, caps):
+    from .verify import run_suite
+
     modules = None if module is None else [module]
     results = run_suite(args.suite, modules)
     return {
@@ -536,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        choices=sorted(SUITES) + ["all"],
+        choices=[*SUITE_NAMES, "all"],
         help="which family of checks to run",
     )
     return parser
@@ -596,9 +625,12 @@ def main(argv=None) -> int:
         env_cap = os.environ.get("MODSPEC_CARD_CAP")
         if env_cap is not None:
             try:
-                caps["cardinality"] = int(env_cap)
+                cap = int(env_cap)
             except ValueError:
                 raise ValueError(f"MODSPEC_CARD_CAP: expected an integer, got {env_cap!r}") from None
+            if cap < 0:
+                raise ValueError(f"MODSPEC_CARD_CAP: cap must be >= 0, got {cap}")
+            caps["cardinality"] = cap
         for key, value in (
             ("f", getattr(args, "f", None)),
             ("g", getattr(args, "g", None)),
@@ -614,7 +646,7 @@ def main(argv=None) -> int:
                 inputs[key] = value
 
         result = COMMANDS[command](module, args, caps)
-    except (ModuleFileError, CoverError, UnsupportedModuleError, CapExceededError, ValueError) as exc:
+    except (ValueError, CapExceededError) as exc:
         return _report(inputs, {"error": str(exc)}, "error", quiet)
     except PropertyViolation as exc:
         return _report(inputs, {"violation": str(exc)}, "violation", quiet)

@@ -187,18 +187,56 @@ def is_strong_probable_prime(n, a):
     return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
 
 
+# psi_1 .. psi_13, OEIS A014233
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, PSI_12, PSI_13,
+)
+
+
 def test_miller_rabin_needs_the_thirteenth_base():
-    assert not sympy.isprime(PSI_12) and not sympy.isprime(PSI_13)
     bases = arith._MR_BASES
     assert bases == tuple(sympy.primerange(2, 42))
-    assert all(is_strong_probable_prime(PSI_12, a) for a in bases[:12])
-    assert not is_strong_probable_prime(PSI_12, bases[12])
+    assert arith._MR_PSI == PSI and arith._PSI13 == PSI_13
+    for k, psi in enumerate(PSI, 1):
+        # psi_k is composite and passes the first k bases; the next base
+        # catches it unless psi_k repeats
+        assert not sympy.isprime(psi)
+        assert all(is_strong_probable_prime(psi, a) for a in bases[:k])
+        if k < 13 and PSI[k] != psi:
+            assert not is_strong_probable_prime(psi, bases[k])
+        if k < 13:
+            assert not arith._is_prime_mr(psi), k
     assert all(is_strong_probable_prime(PSI_13, a) for a in bases)
-    assert arith._PSI13 == PSI_13
-    assert not arith._is_prime_mr(PSI_12)
     assert arith._is_prime_mr(2**61 - 1)
     with pytest.raises(FactorBoundExceeded):
         factorize(PSI_12, 1000)
+
+
+def test_miller_rabin_agrees_with_sympy_in_every_band():
+    # each band [psi_(k-1), psi_k) runs k bases; sample odd integers,
+    # primes and products of two primes in it, both ends included
+    rng = random.Random(2017)
+    for lo, hi in zip((43, *PSI[:12]), PSI):
+        if lo == hi:
+            continue
+        samples = {lo | 1, hi - 2}
+        for _ in range(40):
+            samples.add(rng.randrange(lo, hi) | 1)
+        for _ in range(8):
+            samples.add(int(sympy.prevprime(rng.randrange(lo + 2, hi))))
+        root = math.isqrt(hi)
+        for _ in range(8):
+            p = int(sympy.nextprime(rng.randrange(3, max(4, root // 2))))
+            q = int(sympy.nextprime(rng.randrange(lo, hi) // p))
+            if lo <= p * q < hi:
+                samples.add(p * q)
+        samples = sorted(n for n in samples if lo <= n < hi and n % 2)
+        assert any(sympy.isprime(n) for n in samples)
+        assert any(not sympy.isprime(n) for n in samples)
+        for n in samples:
+            assert arith._is_prime_mr(n) == sympy.isprime(n), n
 
 
 def test_refusals_of_large_primes_skip_trial_division(trial_stops):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modspec
-from modspec import sheaf as sheaf_layer, spectrum as spectrum_layer
+from modspec import sheaf as sheaf_layer, spectrum as spectrum_layer, verify
 from modspec.arith import ZZ
 from modspec.cli import (
     INT_STRING_BOUND,
@@ -368,6 +368,23 @@ def test_an_unknown_cap_is_rejected(capsys, tmp_path, key):
     )
 
 
+@pytest.mark.parametrize("key", ["cardinality", "subgroup_enumeration"])
+@pytest.mark.parametrize("value", [-1, "-7"])
+def test_a_negative_cap_is_rejected_at_load(capsys, tmp_path, key, value):
+    path = module_file(tmp_path, {"kind": "Z"}, [6], caps={key: value})
+    code, report = run(capsys, ["spec", path])
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == f"caps.{key}: cap must be >= 0, got {int(value)}"
+
+
+@pytest.mark.parametrize("key", ["cardinality", "subgroup_enumeration"])
+def test_a_zero_cap_loads_and_refuses(capsys, tmp_path, key):
+    path = module_file(tmp_path, {"kind": "Z"}, [6], caps={key: 0})
+    code, report = run(capsys, ["spec", path])
+    assert code == 1 and report["inputs"]["caps"] == {key: 0}
+    assert report["result"]["error"].endswith(" cap 0")
+
+
 # ---------------------------------------------------------------------------
 # exit codes, determinism, env overrides
 # ---------------------------------------------------------------------------
@@ -458,6 +475,21 @@ def test_non_integer_env_cap_is_a_structured_error(capsys, z12, monkeypatch, val
     assert report["result"]["error"] == f"MODSPEC_CARD_CAP: expected an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("value", ["-1", "-4096"])
+def test_negative_env_cap_is_a_structured_error(capsys, z12, monkeypatch, value):
+    monkeypatch.setenv("MODSPEC_CARD_CAP", value)
+    code, report = run(capsys, ["sheaf", z12, "--open", "D(1)"])
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == f"MODSPEC_CARD_CAP: cap must be >= 0, got {value}"
+
+
+def test_zero_env_cap_refuses(capsys, z12, monkeypatch):
+    monkeypatch.setenv("MODSPEC_CARD_CAP", "0")
+    code, report = run(capsys, ["sheaf", z12, "--open", "D(1)"])
+    assert code == 1
+    assert report["result"]["error"] == "|M| = 12 exceeds the cardinality cap 0"
+
+
 # ---------------------------------------------------------------------------
 # the parser: built once per process, exit 1 on a bad command line, and no
 # argument carried from one call to the next
@@ -496,6 +528,12 @@ def test_usage_errors_exit_1(capsys, z12, argv):
     assert captured.out == ""
     assert captured.err.startswith("usage: modspec")
     assert "error: " in captured.err
+
+
+def test_suite_choices_are_the_verify_suites():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert list(suite.choices) == sorted(verify.SUITES) + ["all"]
 
 
 def test_help_exits_0(capsys):

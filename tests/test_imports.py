@@ -1,16 +1,18 @@
 """Every name a ``modspec`` module imports is used in that module, and
 every function it defines is referenced somewhere.
 
-``__init__.py`` is exempt from the import check: its imports are the
-package's public names.  A function or method counts as referenced when
-its name occurs in ``src/``, ``tests/`` or ``perfbench/`` as a name, an
-attribute, an imported name or a word of a string other than a docstring
-(``perfbench`` looks functions up by dotted strings); dunder methods are
-exempt.  The library import also leaves the CLI out, so that the cost of
-building its argument parser falls on CLI callers only.
+A function or method counts as referenced when its name occurs in
+``src/``, ``tests/`` or ``perfbench/`` as a name, an attribute, an imported
+name or a word of a string other than a docstring (``perfbench`` looks
+functions up by dotted strings); dunder methods are exempt.
+
+``import modspec`` loads no submodule: the package's public names load
+lazily, so the cost of building the CLI's argument parser falls on CLI
+callers only, and a CLI process loads only the modules its command runs.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -21,9 +23,8 @@ import pytest
 
 import modspec
 
-SOURCES = sorted(
-    p for p in Path(modspec.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE_FILES = sorted(Path(modspec.__file__).parent.glob("*.py"))
+SUBMODULES = [f"modspec.{p.stem}" for p in PACKAGE_FILES if p.name != "__init__.py"]
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -45,7 +46,7 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(source) == ["gcd"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=[p.name for p in PACKAGE_FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -102,27 +103,109 @@ def test_every_function_is_referenced():
     ]
     defining = {
         path.name: path.read_text(encoding="utf-8")
-        for path in sorted(Path(modspec.__file__).parent.glob("*.py"))
+        for path in PACKAGE_FILES
     }
     assert unreferenced_functions(defining, referencing) == []
 
 
 def loaded_after(statement: str, names: list[str]) -> list[str]:
     """Which of ``names`` a fresh interpreter has in sys.modules after
-    running ``statement``."""
-    probe = f"import sys; {statement}; print(sorted(set({names!r}) & set(sys.modules)))"
+    running ``statement`` (one or more lines)."""
+    probe = f"import sys\n{statement}\nprint(sorted(set({names!r}) & set(sys.modules)))"
     src = str(Path(modspec.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    return ast.literal_eval(out.stdout.strip())
+    return ast.literal_eval(out.stdout.splitlines()[-1])
 
 
 def test_library_import_leaves_out_the_cli():
-    assert loaded_after("import modspec", ["argparse", "modspec.cli"]) == []
+    assert loaded_after("import modspec", ["argparse", *SUBMODULES]) == []
 
 
 def test_cli_import_loads_no_fractions():
     # no module element is a fraction: the Pruefer group has no elements
     assert loaded_after("import modspec.cli", ["fractions"]) == []
+
+
+# ---------------------------------------------------------------------------
+# a process loads only the modules its command runs
+# ---------------------------------------------------------------------------
+
+CLI_BASE = ["modspec.arith", "modspec.cli", "modspec.fgmodules", "modspec.lattices",
+            "modspec.spectrum"]
+SHEAF = ["modspec.localization", "modspec.sheaf"]
+COMMAND_ARGS = {
+    "spec": [],
+    "radical": ["--submodule", "4"],
+    "colon": ["--submodule", "2"],
+    "pradical": [],
+    "localize": ["--at", "2"],
+    "sheaf": ["--open", "D(2)"],
+    "cover": ["--f", "1", "--hs", "4,9"],
+    "iso": ["--f", "2", "--g", "10"],
+    "verify": ["--suite", "3.1"],
+}
+COMMAND_EXTRA = {"localize": ["modspec.localization"], "sheaf": SHEAF, "cover": SHEAF, "iso": SHEAF}
+
+
+def test_cli_import_loads_the_base_set():
+    assert loaded_after("import modspec.cli", SUBMODULES) == CLI_BASE
+
+
+def test_help_loads_the_base_set():
+    statement = (
+        "from modspec.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass"
+    )
+    assert loaded_after(statement, SUBMODULES) == CLI_BASE
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_each_command_loads_only_what_it_runs(tmp_path, command):
+    path = tmp_path / "z12.json"
+    path.write_text(
+        '{"ring": {"kind": "Z"}, "module": {"kind": "invariant_factors", "factors": [12]}}'
+    )
+    argv = ["--quiet", command, str(path), *COMMAND_ARGS[command]]
+    statement = f"from modspec.cli import main\nassert main({argv!r}) == 0"
+    expected = SUBMODULES if command == "verify" else CLI_BASE + COMMAND_EXTRA.get(command, [])
+    assert loaded_after(statement, SUBMODULES) == sorted(expected)
+
+
+# the names ``modspec`` exports, by home module
+EXPORTS = {
+    "arith": """BezoutDecomposition FactorBoundExceeded Ideal NotInRadicalError Ring
+        RingMismatchError ZZ Zmod bezout_decompose ideal ideal_combine ideal_radical
+        is_prime_ideal radical_membership_witness""",
+    "corpus": "finite_corpus full_corpus prufer_corpus",
+    "fgmodules": """CapExceededError FgModule LinearMap ModElement Submodule
+        UnsupportedModuleError all_submodules colon direct_sum direct_sum_with_embeddings
+        from_cyclic_orders iso_class_equal normalize prufer_module scalar_colon
+        scalar_multiple_submodule submodule_from_generators zero_module""",
+    "localization": """CorrespondenceError LocalizedModule MultSet PrimeCorrespondence
+        TransferReport localize localize_bruteforce prime_correspondence relocalize
+        verify_localization_transfer""",
+    "sheaf": """CoverDecomposition CoverError Germ IsoCriterionResult PsiMapResult Section
+        SectionSpace SheafAxiomsReport StalkResult cover_decompose iso_criterion psi_map
+        restrict sections sheaf_axioms_check stalk""",
+    "spectrum": """ClosedSet NaturalMapResult OpenSet PradicalResult PrimeSubmodule
+        PropertyViolation Spectrum StrategyMismatchError basic_open is_pradical
+        is_prime_submodule natural_map prime_radical spec_enumerate variety""",
+}
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    names = []
+    for home, text in EXPORTS.items():
+        module = importlib.import_module(f"modspec.{home}")
+        for name in text.split():
+            assert getattr(modspec, name) is getattr(module, name), name
+            names.append(name)
+    assert sorted(modspec.__all__) == sorted(names)
+    assert set(names) <= set(dir(modspec))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        modspec.no_such_name
