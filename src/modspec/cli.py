@@ -11,13 +11,12 @@ instance.
 ``--strategy`` is read by spec and radical only.  Left out, spec runs both
 enumeration strategies and insists they agree, and radical runs the closed
 form N + rM, which builds no point of the spectrum.  Every spec and a
-brute-force radical build every point, so they first count the points in
-closed form and refuse a spectrum larger than the cardinality cap.  A spec
-that runs the brute force refuses in the order ``spec_enumerate`` gives:
-|M| past the subgroup cap, then past the cardinality cap, then the points.
-verify refuses a module with free rank, which no suite checks, and a
-suite that walks all of Spec(M) refuses more points than the default
-cardinality cap.
+brute-force radical walk Spec(M) under the cardinality cap
+(``MODSPEC_CARD_CAP``, else the file's), and ``Spectrum`` refuses more
+points than the cap, counted in closed form, before it builds one; a spec
+that runs the brute force refuses in the order ``spec_enumerate`` gives.
+verify refuses a module with free rank, which no suite checks, and its
+suites walk Spec(M) under the default cap.
 
 The argument parser is built once, when this module is imported, and
 every ``main`` call parses with it; argparse makes a fresh namespace per
@@ -50,7 +49,6 @@ from .fgmodules import (
     colon,
     normalize,
     prufer_module,
-    refuse_over_cap,
     submodule_from_generators,
 )
 from .spectrum import (
@@ -335,13 +333,6 @@ def _mult_set_from_args(args) -> MultSet:
     raise ModuleFileError("--invert/--at", "choose exactly one")
 
 
-def _refuse_points_over_cap(spectrum, caps) -> None:
-    """Refuse a spectrum with more points than the cardinality cap before
-    any of its fibers is built: its length is the closed-form count."""
-    cap = caps.get("cardinality", DEFAULT_CARDINALITY_CAP)
-    refuse_over_cap("|Spec(M)|", len(spectrum), "cardinality", cap)
-
-
 def cmd_spec(module, args, caps):
     spectrum = spec_enumerate(
         module,
@@ -349,8 +340,6 @@ def cmd_spec(module, args, caps):
         subgroup_cap=caps.get("subgroup_enumeration", DEFAULT_SUBGROUP_CAP),
         card_cap=caps.get("cardinality", DEFAULT_CARDINALITY_CAP),
     )
-    if args.strategy == "classified":
-        _refuse_points_over_cap(spectrum, caps)
     fibers = {
         str(p): [submodule_json(ps.sub) for ps in chunk]
         for p, chunk in spectrum.fibers
@@ -368,10 +357,13 @@ def cmd_spec(module, args, caps):
 def cmd_radical(module, args, caps):
     sub = _parse_submodule(module, args.submodule)
     method = "closed_form" if args.strategy == "classified" else args.strategy
+    spectrum = None
     if method != "closed_form" and module.is_finite:
-        # the brute-force radical intersects over every point of Spec(M)
-        _refuse_points_over_cap(spec_enumerate(module), caps)
-    rad = prime_radical(sub, module, method)
+        # the brute-force radical walks every point of Spec(M)
+        spectrum = spec_enumerate(
+            module, card_cap=caps.get("cardinality", DEFAULT_CARDINALITY_CAP)
+        )
+    rad = prime_radical(sub, module, method, spectrum)
     return {
         "submodule": submodule_json(sub),
         "prime_radical": submodule_json(rad),
@@ -631,19 +623,11 @@ def main(argv=None) -> int:
             if cap < 0:
                 raise ValueError(f"MODSPEC_CARD_CAP: cap must be >= 0, got {cap}")
             caps["cardinality"] = cap
-        for key, value in (
-            ("f", getattr(args, "f", None)),
-            ("g", getattr(args, "g", None)),
-            ("hs", getattr(args, "hs", None)),
-            ("submodule", getattr(args, "submodule", None)),
-            ("open", getattr(args, "open", None)),
-            ("invert", getattr(args, "invert", None)),
-            ("at", getattr(args, "at", None)),
-            ("suite", getattr(args, "suite", None)),
-            ("strategy", args.strategy if command == "spec" else None),
-        ):
-            if value is not None:
+        for key, value in vars(args).items():
+            if key not in ("command", "file", "quiet", "strategy") and value is not None:
                 inputs[key] = value
+        if command == "spec":
+            inputs["strategy"] = args.strategy
 
         result = COMMANDS[command](module, args, caps)
     except (ValueError, CapExceededError) as exc:

@@ -422,11 +422,12 @@ def prime_correspondence(module: FgModule, mult_set: MultSet) -> PrimeCorrespond
         if not mult_set.meets_prime(ps.char_prime, module.ring)
     ]
     loc_primes = list(spec_loc.primes())
+    loc_by_sub = {qs.sub: qs for qs in loc_primes}
     pairs = []
     seen = set()
     for ps in survivors:
         extended = loc.extend_submodule(ps.sub)
-        target = next((qs for qs in loc_primes if qs.sub == extended), None)
+        target = loc_by_sub.get(extended)
         if target is None:
             raise CorrespondenceError(
                 f"extension of {ps.sub} is not a prime of the localization of {module}"

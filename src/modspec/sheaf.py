@@ -53,6 +53,10 @@ from .spectrum import (
     spec_enumerate,
 )
 
+# sheaf_axioms_check enumerates the compatible families of a cover outright
+# when the product of its section spaces is at most this
+FAMILY_LIMIT = 50_000
+
 
 class CoverError(ValueError):
     """The open sets D(h_i M) do not cover D(fM)."""
@@ -513,7 +517,7 @@ def _compatible_families(family, proj, sizes) -> list[tuple[int, ...]]:
     return found
 
 
-def sheaf_axioms_check(module: FgModule, family_limit: int = 50_000) -> SheafAxiomsReport:
+def sheaf_axioms_check(module: FgModule) -> SheafAxiomsReport:
     """Exhaustive sheaf-axiom verification over every open and every cover.
 
     Checks the identity axiom (a section vanishing on a cover vanishes),
@@ -534,7 +538,7 @@ def sheaf_axioms_check(module: FgModule, family_limit: int = 50_000) -> SheafAxi
     public maps.
 
     Compatible families are enumerated outright when the product of the
-    section spaces is at most ``family_limit``: a search member by member
+    section spaces is at most ``FAMILY_LIMIT``: a search member by member
     through the preimages of the meets decides every element of that
     product.  Otherwise they are constructed fiberwise (a family is
     pairwise compatible iff all members sharing a fiber agree there, since
@@ -686,7 +690,7 @@ def sheaf_axioms_check(module: FgModule, family_limit: int = 50_000) -> SheafAxi
                     gluing_ok = False
                     failures.append(f"gluing not unique over {sorted(u)}")
                 # gluing axiom: every compatible family has exactly one glue
-                if math.prod(sizes[o] for o in family) <= family_limit:
+                if math.prod(sizes[o] for o in family) <= FAMILY_LIMIT:
                     exhaustive_covers += 1
                     glues = Counter(keys)
                     found = _compatible_families(family, proj, sizes)

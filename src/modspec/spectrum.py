@@ -17,7 +17,9 @@ gcd(f, e_i), so the basic open D(fM) is the set of fibers (p) with p not
 dividing f, read off the scalar with no submodule built.  The classified spectrum is lazy: its fibers
 are the relevant primes, and a fiber's points are built on first use.
 Until then its size is the closed-form count of proper subspaces of
-F_p^s, a sum of Gaussian binomials; a built fiber is checked against it.
+F_p^s, a sum of Gaussian binomials; a built fiber is checked against it,
+and a walk over all points refuses a count past the spectrum's
+cardinality cap before it builds one.
 Each point's HNF is read off the reduced-row-echelon basis of its
 subspace, with no lattice reduction.
 """
@@ -85,12 +87,16 @@ class Spectrum:
 
     ``fibers`` pairs each fiber prime with its points, or with None for a
     fiber of the classified strategy that is built on first use and then
-    kept on this object.  Equality and hashing use the module and the fiber
+    kept on this object.  A walk over all points, ``primes()`` or
+    ``fibers``, first refuses a spectrum whose closed-form count passes
+    ``card_cap``, before any point is built; ``fiber(p)`` alone builds one
+    fiber under no cap.  Equality and hashing use the module and the fiber
     primes, which determine the points.
     """
 
-    def __init__(self, module: FgModule, fibers) -> None:
+    def __init__(self, module: FgModule, fibers, card_cap: int) -> None:
         self.module = module
+        self.card_cap = card_cap
         self._fibers: dict[int, tuple[PrimeSubmodule, ...] | None] = {}
         for p, chunk in sorted(fibers, key=lambda pc: pc[0]):
             self._fibers[p] = None if chunk is None else self._checked(p, chunk)
@@ -116,8 +122,12 @@ class Spectrum:
             )
         return tuple(sorted(chunk, key=lambda ps: ps.sub.basis))
 
+    def _refuse_over_cap(self) -> None:
+        refuse_over_cap("|Spec(M)|", len(self), "cardinality", self.card_cap)
+
     @property
     def fibers(self) -> tuple[tuple[int, tuple[PrimeSubmodule, ...]], ...]:
+        self._refuse_over_cap()
         return tuple((p, self.fiber(p)) for p in self._fibers)
 
     def fiber(self, p: int) -> tuple[PrimeSubmodule, ...]:
@@ -129,6 +139,7 @@ class Spectrum:
         return chunk
 
     def primes(self) -> Iterator[PrimeSubmodule]:
+        self._refuse_over_cap()
         for p in self._fibers:
             yield from self.fiber(p)
 
@@ -377,30 +388,31 @@ def spec_enumerate(
     all subgroups), "classified" (proper subspaces of M/pM per relevant
     prime p), or "both" (run the two and insist they agree).
 
+    The spectrum keeps ``card_cap``: a walk over all its points refuses
+    more points than the cap, counted in closed form (see ``Spectrum``).
     The classified spectrum is lazy and builds no point here.  The brute
     force walks every subgroup, so "bruteforce" and "both" first refuse,
     in this order, |M| past ``subgroup_cap`` (the enumeration cap), |M|
-    past ``card_cap`` (the cardinality cap), and a spectrum with more
-    points than ``card_cap``, counted in closed form."""
+    past ``card_cap`` (the cardinality cap), and then the points."""
     if module.is_prufer:
-        return Spectrum(module, ())
+        return Spectrum(module, (), card_cap)
     if not module.is_finite:
         raise UnsupportedModuleError("spectrum enumeration needs a finite module")
     if strategy not in ("bruteforce", "classified", "both"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    spectrum = Spectrum(module, ((p, None) for p in module.relevant_primes()))
+    spectrum = Spectrum(module, ((p, None) for p in module.relevant_primes()), card_cap)
     if strategy == "classified":
         return spectrum
 
     refuse_over_cap("|M|", module.cardinality, "enumeration", subgroup_cap)
     refuse_over_cap("|M|", module.cardinality, "cardinality", card_cap)
-    refuse_over_cap("|Spec(M)|", len(spectrum), "cardinality", card_cap)
+    spectrum._refuse_over_cap()
     brute = _enumerate_bruteforce(module, subgroup_cap, card_cap)
     if strategy == "bruteforce":
         by_fiber: dict[int, list[PrimeSubmodule]] = {}
         for ps in brute:
             by_fiber.setdefault(ps.char_prime, []).append(ps)
-        return Spectrum(module, by_fiber.items())
+        return Spectrum(module, by_fiber.items(), card_cap)
     brute_set = {(ps.char_prime, ps.sub) for ps in brute}
     classified_set = {(ps.char_prime, ps.sub) for ps in spectrum.primes()}
     if classified_set != brute_set:
@@ -443,12 +455,16 @@ def basic_open(
 # ---------------------------------------------------------------------------
 
 def prime_radical(
-    sub: Submodule, module: FgModule | None = None, method: str = "closed_form"
+    sub: Submodule,
+    module: FgModule | None = None,
+    method: str = "closed_form",
+    spectrum: Spectrum | None = None,
 ) -> Submodule:
     """Intersection of the primes containing N; M itself when none exist.
 
-    Two implementations: "bruteforce" intersects over the enumerated
-    spectrum; "closed_form" returns N + rM, where r is the product of the
+    Two implementations: "bruteforce" intersects over the points of
+    ``spectrum`` (by default the classified one), so it refuses where that
+    walk does; "closed_form" returns N + rM, where r is the product of the
     relevant primes p dividing [M : N].  Those are the p with N + pM
     proper, and their intersection is N + rM because M/N is the direct sum
     of its primary parts.  "both" runs the two and insists they agree.
@@ -458,7 +474,7 @@ def prime_radical(
         raise UnsupportedModuleError("prime radicals need an enumerable spectrum")
     if method == "both":
         closed = prime_radical(sub, module, "closed_form")
-        brute = prime_radical(sub, module, "bruteforce")
+        brute = prime_radical(sub, module, "bruteforce", spectrum)
         if closed != brute:
             raise PropertyViolation(
                 f"prime radical implementations disagree on {module}"
@@ -471,7 +487,7 @@ def prime_radical(
         )
         return sub if rm <= sub else sub.add(rm)
     if method == "bruteforce":
-        spectrum = spec_enumerate(module)
+        spectrum = spectrum if spectrum is not None else spec_enumerate(module)
         containing = [ps.sub for ps in spectrum.primes() if sub <= ps.sub]
         if not containing:
             return module.full_submodule()
@@ -567,5 +583,5 @@ def natural_map(module: FgModule, spectrum: Spectrum | None = None) -> NaturalMa
     spectrum = spectrum if spectrum is not None else spec_enumerate(module)
     assignments = tuple((ps, ps.char_ideal) for ps in spectrum.primes())
     codomain = module.relevant_primes()
-    hit = {ps.char_prime for ps in spectrum.primes()}
+    hit = {ps.char_prime for ps, _ in assignments}
     return NaturalMapResult(module, assignments, codomain, hit == set(codomain))

@@ -23,7 +23,6 @@ from .fgmodules import (
     colon,
     direct_sum_with_embeddings,
     iso_class_equal,
-    refuse_over_cap,
     scalar_multiple_submodule,
     submodule_from_generators,
 )
@@ -38,7 +37,6 @@ from .localization import (
 from .sheaf import cover_decompose, iso_criterion, psi_map, sections, sheaf_axioms_check, stalk
 from .spectrum import (
     PropertyViolation,
-    Spectrum,
     _prime_characteristic,
     _scalar_tables,
     basic_open,
@@ -50,6 +48,10 @@ from .spectrum import (
 )
 
 DEFAULT_SEED = 20260810
+# criterion 8 checks every triple of ideals of Z/n for n <= MAX_MODULUS,
+# and RANDOMIZED_TRIPLES seeded triples of ideals of Z
+MAX_MODULUS = 60
+RANDOMIZED_TRIPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,6 @@ def _check_verifiable(module: FgModule) -> None:
             f"the verification suites check finite modules and the Pruefer group; "
             f"{module} has free rank {module.free_rank}"
         )
-
-
-def _spectrum(module: FgModule) -> Spectrum:
-    """Spec(M) for a suite that walks all of its points: refused, before a
-    point is built, when the closed-form count passes the default
-    cardinality cap."""
-    spectrum = spec_enumerate(module)
-    refuse_over_cap("|Spec(M)|", len(spectrum), "cardinality", DEFAULT_CARDINALITY_CAP)
-    return spectrum
 
 
 def _scalar_bound(module: FgModule) -> int:
@@ -185,7 +178,7 @@ def check_stalks(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     failures = []
     checks = 0
     for m in _modules(modules, finite_only=True):
-        for ps in _spectrum(m).primes():
+        for ps in spec_enumerate(m).primes():
             checks += 1
             res = stalk(m, ps)
             expected = localize(m, MultSet.complement_of_prime(ps.char_prime))
@@ -300,13 +293,9 @@ def check_prufer_controls(modules: Sequence[FgModule] | None = None) -> SuiteRes
 
 # -- criterion 8 -------------------------------------------------------------
 
-def check_radical_sum_identity(
-    modules: Sequence[FgModule] | None = None,
-    randomized: int = 1000,
-    max_modulus: int = 60,
-) -> SuiteResult:
+def check_radical_sum_identity(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     """sqrt((I+J) cap (I+K)) = sqrt(I + (J cap K)): exhaustive over Z/n for
-    n <= 60 and randomized over Z.
+    n <= MAX_MODULUS and randomized over Z.
 
     Over Z/n the ideals are the divisor ideals (d), so the library's sum,
     intersection and radical are tabled once per ring, indexed by divisor
@@ -323,7 +312,7 @@ def check_radical_sum_identity(
         rhs = ideal_radical(ideal_combine("sum", i, ideal_combine("intersect", j, k)))
         return lhs == rhs
 
-    for n in range(2, max_modulus + 1):
+    for n in range(2, MAX_MODULUS + 1):
         ring = Zmod(n)
         ideals = [ideal(ring, d) for d in range(1, n + 1) if n % d == 0]
         position = {a: x for x, a in enumerate(ideals)}
@@ -359,7 +348,7 @@ def check_radical_sum_identity(
                     if lhs is None or lhs != rhs:
                         failures.append(f"Z/{n}: I={i.gen} J={j.gen} K={k.gen}")
     rng = random.Random(DEFAULT_SEED)
-    for _ in range(randomized):
+    for _ in range(RANDOMIZED_TRIPLES):
         i, j, k = (ideal(ZZ, rng.randint(0, 10**6)) for _ in range(3))
         checks += 1
         if not verify(i, j, k):
@@ -380,7 +369,6 @@ def check_prime_correspondence(modules: Sequence[FgModule] | None = None) -> Sui
     failures = []
     checks = 0
     for m in _modules(modules):
-        _spectrum(m)  # refused before prime_correspondence builds its points
         for ms in _mult_sets(m):
             checks += 1
             try:
@@ -437,7 +425,7 @@ def _direct_sum_checks(m1: FgModule, m2: FgModule) -> tuple[int, list[str]]:
     if not is_pradical(m).holds:
         failures.append(f"{m1} (+) {m2}: prime radical condition lost")
     tables = None
-    for ps in _spectrum(m1).primes():
+    for ps in spec_enumerate(m1).primes():
         checks += 1
         p = ps.char_prime
         gens = [e1.apply(m1.element(row)) for row in ps.sub.basis]
@@ -590,7 +578,7 @@ def check_primeful(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     checks = 0
     for m in _modules(modules, finite_only=True):
         checks += 1
-        spectrum = _spectrum(m)
+        spectrum = spec_enumerate(m)
         if not natural_map(m, spectrum).surjective:
             failures.append(f"{m}: natural map not surjective")
         if m.cardinality <= 64:

@@ -635,7 +635,7 @@ def test_a_twisted_restriction_fails_the_fiberwise_gluing_check(monkeypatch):
     # on Z/30, shift the coded restriction from {2, 3} to {2} (the only one
     # whose digit tables are range(2) kept and a 3-element stalk dropped),
     # so the families induced on {2, 3} and {2, 5} disagree on {2}; with
-    # family_limit=0 every cover takes the fiberwise branch
+    # FAMILY_LIMIT = 0 every cover takes the fiberwise branch
     exact = sheaf._lift
 
     def twisted(tables, radices):
@@ -645,7 +645,8 @@ def test_a_twisted_restriction_fails_the_fiberwise_gluing_check(monkeypatch):
         return codes
 
     monkeypatch.setattr(sheaf, "_lift", twisted)
-    report = sheaf_axioms_check(from_cyclic_orders(ZZ, [30]), family_limit=0)
+    monkeypatch.setattr(sheaf, "FAMILY_LIMIT", 0)
+    report = sheaf_axioms_check(from_cyclic_orders(ZZ, [30]))
     assert report.exhaustive_covers == 0
     assert not report.gluing_ok
     assert any(f.startswith("induced family incompatible") for f in report.failures)

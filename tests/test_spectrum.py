@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,6 +29,7 @@ from modspec.localization import (
     invariant_factors_from_orders,
     localize,
     localize_bruteforce,
+    prime_correspondence,
 )
 from modspec.sheaf import cover_decompose, psi_map, sections, stalk
 from modspec.spectrum import (
@@ -538,6 +540,59 @@ def test_suites_that_walk_the_spectrum_refuse_past_the_points_cap(built, check):
     with pytest.raises(CapExceededError, match=r"^\|Spec\(M\)\| = 29211 exceeds"):
         check([FgModule(ZZ, (2,) * 7)])
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda m: list(spec_enumerate(m).primes()),
+        lambda m: spec_enumerate(m).fibers,
+        lambda m: prime_radical(m.zero_submodule(), m, "bruteforce"),
+        lambda m: prime_radical(m.zero_submodule(), m, "both"),
+        natural_map,
+        lambda m: prime_correspondence(m, MultSet.powers_of(3)),
+    ],
+    ids=["primes", "fibers", "bruteforce-radical", "both-radical", "natural-map", "correspondence"],
+)
+@pytest.mark.parametrize("s, points", [(7, 29211), (10, 229755604)])
+def test_library_walks_over_the_spectrum_refuse_past_the_points_cap(built, walk, s, points):
+    with pytest.raises(CapExceededError) as exc:
+        walk(FgModule(ZZ, (2,) * s))
+    assert str(exc.value) == f"|Spec(M)| = {points} exceeds the cardinality cap 4096"
+    assert built == []
+
+
+def test_the_points_cap_bounds_the_walks_and_not_one_fiber(built):
+    # Spec((Z/2)^3) has 15 points, all in the fiber over (2)
+    m = FgModule(ZZ, (2, 2, 2))
+    zero = m.zero_submodule()
+    refused = spec_enumerate(m, card_cap=14)
+    walks = (
+        lambda: list(refused.primes()),
+        lambda: refused.fibers,
+        lambda: prime_radical(zero, m, "bruteforce", refused),
+        lambda: natural_map(m, refused),
+    )
+    for walk in walks:
+        with pytest.raises(CapExceededError) as exc:
+            walk()
+        assert str(exc.value) == "|Spec(M)| = 15 exceeds the cardinality cap 14"
+    assert built == []
+    assert len(refused.fiber(2)) == 15 and built == [(m, 2)]
+    # a built fiber does not lift the cap off the walks
+    with pytest.raises(CapExceededError):
+        list(refused.primes())
+    answered = spec_enumerate(m, card_cap=15)
+    assert len(answered.fiber(2)) == 15 and built == [(m, 2), (m, 2)]
+    assert len(list(answered.primes())) == 15 and [p for p, _ in answered.fibers] == [2]
+    assert prime_radical(zero, m, "bruteforce", answered) == prime_radical(zero, m)
+    assert natural_map(m, answered).surjective
+
+
+def test_the_points_refusal_is_written_once():
+    src = Path(spectrum_module.__file__).parent
+    holders = sorted(path.name for path in src.glob("*.py") if "|Spec(M)|" in path.read_text())
+    assert holders == ["spectrum.py"]
 
 
 # ---------------------------------------------------------------------------

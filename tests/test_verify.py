@@ -23,10 +23,11 @@ def per_triple_failures(max_modulus, combine=ideal_combine, radical=ideal_radica
     return checks, failures
 
 
-def test_tables_match_the_per_triple_check():
+def test_tables_match_the_per_triple_check(monkeypatch):
     result = check_radical_sum_identity()
     assert result.checks == 11_058 and result.ok
-    tabled = check_radical_sum_identity(randomized=0)
+    monkeypatch.setattr(verify, "RANDOMIZED_TRIPLES", 0)
+    tabled = check_radical_sum_identity()
     assert (tabled.checks, list(tabled.failures)) == per_triple_failures(60)
 
 
@@ -38,7 +39,9 @@ def test_a_wrong_intersection_gives_the_per_triple_failures(monkeypatch):
         return ideal_combine(op, a, b)
 
     monkeypatch.setattr(verify, "ideal_combine", wrong)
-    tabled = check_radical_sum_identity(randomized=0, max_modulus=24)
+    monkeypatch.setattr(verify, "RANDOMIZED_TRIPLES", 0)
+    monkeypatch.setattr(verify, "MAX_MODULUS", 24)
+    tabled = check_radical_sum_identity()
     checks, failures = per_triple_failures(24, combine=wrong)
     assert failures
     assert (tabled.checks, list(tabled.failures)) == (checks, failures)
@@ -51,7 +54,9 @@ def test_a_result_outside_the_divisor_ideals_is_a_failure(monkeypatch):
         return ideal_combine(op, a, b)
 
     monkeypatch.setattr(verify, "ideal_combine", off_list)
-    result = check_radical_sum_identity(randomized=0, max_modulus=6)
+    monkeypatch.setattr(verify, "RANDOMIZED_TRIPLES", 0)
+    monkeypatch.setattr(verify, "MAX_MODULUS", 6)
+    result = check_radical_sum_identity()
     assert result.checks == 2**3 + 2**3 + 3**3 + 2**3 + 4**3
     assert "Z/6: sum(2, 3) = (5) of Z/6, not a divisor ideal of the ring" in result.failures
     # I = 2, J = 3 needs the sum (2) + (3) on the left-hand side
