@@ -15,8 +15,17 @@ brute-force radical walk Spec(M) under the cardinality cap
 (``MODSPEC_CARD_CAP``, else the file's), and ``Spectrum`` refuses more
 points than the cap, counted in closed form, before it builds one; a spec
 that runs the brute force refuses in the order ``spec_enumerate`` gives.
-verify refuses a module with free rank, which no suite checks, and its
-suites walk Spec(M) under the default cap.
+
+verify runs one suite, or all of them, on the corpus or on one module
+file, and on a file its suites check that module.  Suite 2.1 checks the
+radical identity on the ideals of the file's ring that contain Ann(M) =
+(e), d(e)^3 triples, and refuses more than ``verify.MAX_IDEAL_TRIPLES``
+before it tables one; on the Pruefer group (Ann(M) = 0) it checks seeded
+triples over Z.  Suite 2.3 sums M with itself over its own ring.  verify
+refuses a module with free rank, which no suite checks, and a single suite
+that checks nothing on the file (3.1 on the zero module, sheaf-axioms past
+four fibers) refuses with the reason; under all, such a suite reports 0
+checks.  The suites walk Spec(M) under the default cap.
 
 The argument parser is built once, when this module is imported, and
 every ``main`` call parses with it; argparse makes a fresh namespace per

@@ -9,11 +9,13 @@ identical reports.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .arith import ZZ, Zmod, ideal, ideal_combine, ideal_radical
+from .arith import ZZ, Zmod, factorize, ideal, ideal_combine, ideal_radical
 from .corpus import finite_corpus, full_corpus, prufer_corpus
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
@@ -23,6 +25,7 @@ from .fgmodules import (
     colon,
     direct_sum_with_embeddings,
     iso_class_equal,
+    refuse_over_cap,
     scalar_multiple_submodule,
     submodule_from_generators,
 )
@@ -48,10 +51,16 @@ from .spectrum import (
 )
 
 DEFAULT_SEED = 20260810
-# criterion 8 checks every triple of ideals of Z/n for n <= MAX_MODULUS,
-# and RANDOMIZED_TRIPLES seeded triples of ideals of Z
+# criterion 8 on the corpus checks every triple of ideals of Z/n for
+# n <= MAX_MODULUS, and RANDOMIZED_TRIPLES seeded triples of ideals of Z
 MAX_MODULUS = 60
 RANDOMIZED_TRIPLES = 1000
+# criterion 8 on a module with exponent e checks d(e)^3 triples, and
+# refuses past this many before it builds a table
+MAX_IDEAL_TRIPLES = 2**18
+# the sheaf axiom suite walks every open and cover of modules with at most
+# this many fibers
+MAX_AXIOM_FIBERS = 4
 
 
 @dataclass(frozen=True)
@@ -294,71 +303,114 @@ def check_prufer_controls(modules: Sequence[FgModule] | None = None) -> SuiteRes
 # -- criterion 8 -------------------------------------------------------------
 
 def check_radical_sum_identity(modules: Sequence[FgModule] | None = None) -> SuiteResult:
-    """sqrt((I+J) cap (I+K)) = sqrt(I + (J cap K)): exhaustive over Z/n for
-    n <= MAX_MODULUS and randomized over Z.
+    """sqrt((I+J) cap (I+K)) = sqrt(I + (J cap K)) on triples of ideals.
 
-    Over Z/n the ideals are the divisor ideals (d), so the library's sum,
-    intersection and radical are tabled once per ring, indexed by divisor
-    position, and each triple reads its two sides off the tables.  A
-    result that is not a divisor ideal of the ring is a failure, and so is
-    every triple that needs it."""
-    failures = []
-    checks = 0
+    On the corpus (no ``modules``) it checks every triple of ideals of Z/n
+    for n <= MAX_MODULUS, and RANDOMIZED_TRIPLES seeded triples over Z.
+    On given modules it checks the ideals that the paper's radical results
+    concern: those of the module's ring R that contain Ann(M) = (e), the
+    (d) with d | e.  Every one of the d(e)^3 triples is checked, once for
+    each distinct (R, e); the zero module has the single triple ((1), (1),
+    (1)).  The Pruefer group has annihilator 0, so every ideal of Z
+    qualifies and it brings the seeded triples.  More than
+    MAX_IDEAL_TRIPLES triples on one module refuse before any table is
+    built.
 
-    def verify(i, j, k):
-        lhs = ideal_radical(
-            ideal_combine("intersect", ideal_combine("sum", i, j), ideal_combine("sum", i, k))
-        )
-        rhs = ideal_radical(ideal_combine("sum", i, ideal_combine("intersect", j, k)))
-        return lhs == rhs
-
-    for n in range(2, MAX_MODULUS + 1):
-        ring = Zmod(n)
-        ideals = [ideal(ring, d) for d in range(1, n + 1) if n % d == 0]
-        position = {a: x for x, a in enumerate(ideals)}
-
-        def locate(result, what):
-            # None marks a result outside the divisor ideals; it propagates
-            # through at() and radical_of(), and the triple fails
-            if result not in position:
-                failures.append(f"Z/{n}: {what} = {result}, not a divisor ideal of the ring")
-            return position.get(result)
-
-        def table(op):
-            return [
-                [locate(ideal_combine(op, a, b), f"{op}({a.gen}, {b.gen})") for b in ideals]
-                for a in ideals
-            ]
-
-        sums, meets = table("sum"), table("intersect")
-        radicals = [locate(ideal_radical(a), f"radical({a.gen})") for a in ideals]
-
-        def at(table, x, y):
-            return None if x is None or y is None else table[x][y]
-
-        def radical_of(x):
-            return None if x is None else radicals[x]
-
-        for x, i in enumerate(ideals):
-            for y, j in enumerate(ideals):
-                for z, k in enumerate(ideals):
-                    checks += 1
-                    lhs = radical_of(at(meets, sums[x][y], sums[x][z]))
-                    rhs = radical_of(at(sums, x, meets[y][z]))
-                    if lhs is None or lhs != rhs:
-                        failures.append(f"Z/{n}: I={i.gen} J={j.gen} K={k.gen}")
-    rng = random.Random(DEFAULT_SEED)
-    for _ in range(RANDOMIZED_TRIPLES):
-        i, j, k = (ideal(ZZ, rng.randint(0, 10**6)) for _ in range(3))
-        checks += 1
-        if not verify(i, j, k):
-            failures.append(f"Z: I={i.gen} J={j.gen} K={k.gen}")
+    The ideals of a scope are the divisor ideals (d), so the library's
+    sum, intersection and radical are tabled once per scope, indexed by
+    divisor position, and each triple reads its two sides off the tables.
+    A result outside the scope's ideals is a failure, and so is every
+    triple that needs it."""
+    failures: list[str] = []
+    if modules is None:
+        scopes = [
+            (Zmod(n), [d for d in range(1, n + 1) if n % d == 0]) for n in range(2, MAX_MODULUS + 1)
+        ]
+        seeded = True
+    else:
+        scopes, seeded = _annihilator_scopes(modules)
+    checks = sum(_tabled_triples(ring, divisors, failures) for ring, divisors in scopes)
+    if seeded:
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(RANDOMIZED_TRIPLES):
+            i, j, k = (ideal(ZZ, rng.randint(0, 10**6)) for _ in range(3))
+            checks += 1
+            lhs = ideal_radical(
+                ideal_combine("intersect", ideal_combine("sum", i, j), ideal_combine("sum", i, k))
+            )
+            rhs = ideal_radical(ideal_combine("sum", i, ideal_combine("intersect", j, k)))
+            if lhs != rhs:
+                failures.append(f"Z: I={i.gen} J={j.gen} K={k.gen}")
     return SuiteResult(
         "radical-sum-identity",
         "radical of (I+J) cap (I+K) equals radical of I + (J cap K)",
         checks,
         tuple(failures),
     )
+
+
+def _annihilator_scopes(modules: Sequence[FgModule]):
+    """Criterion 8's scopes on given modules, and whether a Pruefer group
+    asks for the seeded triples over Z.  A scope is (R, the divisors of e
+    in ascending order) for each distinct ring and exponent e, in the order
+    met; each is counted, and refused past the cap, before it is listed."""
+    scopes: dict[tuple, list[int]] = {}
+    seeded = False
+    for m in _modules(modules):
+        if m.is_prufer:
+            seeded = True
+        elif (m.ring, m.exponent) not in scopes:
+            e = m.exponent
+            powers = [[p**k for k in range(v + 1)] for p, v in factorize(e).items()]
+            refuse_over_cap(
+                f"the ideal triples over Ann(M) = ({e}), d(e)^3",
+                math.prod(map(len, powers)) ** 3,
+                "enumeration",
+                MAX_IDEAL_TRIPLES,
+            )
+            scopes[m.ring, e] = sorted(map(math.prod, itertools.product(*powers)))
+    return [(ring, divisors) for (ring, _), divisors in scopes.items()], seeded
+
+
+def _tabled_triples(ring, divisors: list[int], failures: list[str]) -> int:
+    """Check every triple of the ideals (d) of ``ring``, d in ``divisors``
+    (those of e, ascending), off tables of the library's sum, intersection
+    and radical; append each failure and return the number of checks."""
+    ideals = [ideal(ring, d) for d in divisors]
+    position = {a: x for x, a in enumerate(ideals)}
+    e = divisors[-1]
+    outside = "a divisor ideal of the ring" if ring.modulus == e else f"an ideal over ({e})"
+
+    def locate(result, what):
+        # None marks a result outside the scope's ideals; it propagates
+        # through at() and radical_of(), and the triple fails
+        if result not in position:
+            failures.append(f"{ring}: {what} = {result}, not {outside}")
+        return position.get(result)
+
+    def table(op):
+        return [
+            [locate(ideal_combine(op, a, b), f"{op}({a.gen}, {b.gen})") for b in ideals]
+            for a in ideals
+        ]
+
+    sums, meets = table("sum"), table("intersect")
+    radicals = [locate(ideal_radical(a), f"radical({a.gen})") for a in ideals]
+
+    def at(table, x, y):
+        return None if x is None or y is None else table[x][y]
+
+    def radical_of(x):
+        return None if x is None else radicals[x]
+
+    for x, i in enumerate(ideals):
+        for y, j in enumerate(ideals):
+            for z, k in enumerate(ideals):
+                lhs = radical_of(at(meets, sums[x][y], sums[x][z]))
+                rhs = radical_of(at(sums, x, meets[y][z]))
+                if lhs is None or lhs != rhs:
+                    failures.append(f"{ring}: I={i.gen} J={j.gen} K={k.gen}")
+    return len(ideals) ** 3
 
 
 # -- criterion 9 -------------------------------------------------------------
@@ -392,14 +444,16 @@ def check_direct_sums(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     The 200 draws of (m1, m2) from the pool repeat pairs: each distinct
     pair is checked once per call, and every draw adds that pair's checks
     and failures, so the counts are those of checking each draw afresh.
-    On a module file the pool is that one module, so all draws are one
-    pair."""
+    A sum needs one base ring, so the pool is the finite modules over the
+    ring of the first: Z on the corpus.  On a module file the pool is that
+    one module, over Z or Z/n, so all draws are the pair (M, M)."""
     failures = []
     checks = 0
-    pool = [m for m in _modules(modules, finite_only=True) if m.ring.modulus is None]
+    finite = _modules(modules, finite_only=True)
+    pool = [m for m in finite if m.ring == finite[0].ring]
     rng = random.Random(DEFAULT_SEED)
     checked: dict[tuple[FgModule, FgModule], tuple[int, list[str]]] = {}
-    # modules over Z/n leave the pool empty, which makes no checks
+    # a Pruefer group alone leaves the pool empty, which makes no checks
     for _ in range(200 if pool else 0):
         pair = rng.choice(pool), rng.choice(pool)
         if pair not in checked:
@@ -533,11 +587,11 @@ def check_cover_decomposition(modules: Sequence[FgModule] | None = None) -> Suit
 
 def check_sheaf_axioms(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     """Identity, unique gluing and restriction transitivity over every open
-    and every cover, for modules with at most 4 fibers."""
+    and every cover, for modules with at most MAX_AXIOM_FIBERS fibers."""
     failures = []
     checks = 0
     for m in _modules(modules, finite_only=True):
-        if len(spec_enumerate(m).fiber_primes) > 4:
+        if len(spec_enumerate(m).fiber_primes) > MAX_AXIOM_FIBERS:
             continue
         checks += 1
         report = sheaf_axioms_check(m)
@@ -624,6 +678,10 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suite(name: str, modules: Sequence[FgModule] | None = None) -> list[SuiteResult]:
+    """The results of one suite, or of all of them, on the corpus or on the
+    given modules.  A single suite that makes no check on the given modules
+    refuses, naming why, since a pass with nothing checked would read as a
+    verified module; under "all" such a suite reports 0 checks."""
     for m in modules or ():
         _check_verifiable(m)
     if name == "all":
@@ -633,4 +691,21 @@ def run_suite(name: str, modules: Sequence[FgModule] | None = None) -> list[Suit
         return results
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [SUITES[name](modules)]
+    result = SUITES[name](modules)
+    if not result.checks:
+        reasons = [_nothing_to_check(name, m) for m in modules or ()] or ["no module is given"]
+        raise UnsupportedModuleError(f"suite {name} checks nothing: {'; '.join(reasons)}")
+    return [result]
+
+
+def _nothing_to_check(name: str, module: FgModule) -> str:
+    """Why the single suite ``name`` makes no check on ``module``.  Suites
+    2.1, 2.4 and 4.1 check every finite module and the Pruefer group, and
+    2.3 and 3.2 every finite module; 3.1 checks the points of Spec(M), which
+    only the zero module lacks, and sheaf-axioms caps the fibers."""
+    if module.is_prufer:
+        return f"it checks finite modules, and {module} is the Pruefer group"
+    if name == "sheaf-axioms":
+        fibers = len(spec_enumerate(module).fiber_primes)
+        return f"it checks modules with at most {MAX_AXIOM_FIBERS} fibers, and {module} has {fibers}"
+    return f"it checks the points of Spec(M), and {module} is the zero module, which has none"

@@ -289,10 +289,11 @@ def test_verify_command_on_file(capsys, z12):
 
 
 def test_verify_suite_2_1(capsys, z12):
+    # every triple of the ideals (d), d | 12, that contain Ann(Z/12) = (12)
     code, report = run(capsys, ["verify", z12, "--suite", "2.1"])
     assert code == 0
     (suite,) = report["result"]["suites"]
-    assert suite["checks"] > 10000
+    assert suite["checks"] == 6**3 and not suite["failures"]
 
 
 def module_file(tmp_path, ring, factors, **extra):
@@ -310,12 +311,14 @@ def module_file(tmp_path, ring, factors, **extra):
 
 
 def test_verify_direct_sums_on_zmod_module(capsys, tmp_path):
-    # the suite pairs Z-modules only, so a module over Z/n leaves no pairs
+    # every draw is M (+) M over Z/12: one prime radical check and the lifts
+    # of the five primes of M, 6 checks a draw
     path = module_file(tmp_path, {"kind": "Zmod", "n": 12}, [2, 6])
     code, report = run(capsys, ["verify", path, "--suite", "2.3"])
     assert code == 0 and report["status"] == "ok"
     (suite,) = report["result"]["suites"]
-    assert suite["suite"] == "direct-sums" and suite["checks"] == 0
+    assert suite["suite"] == "direct-sums" and suite["checks"] == 200 * 6
+    assert not suite["failures"]
 
 
 @pytest.mark.parametrize("suite", ["2.1", "2.3", "4.1", "all"])

@@ -342,6 +342,40 @@ def test_direct_sums_suite_on_z3_sums_one_pair(monkeypatch, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# verify on a file: criterion 8 works on the file's own ring
+# ---------------------------------------------------------------------------
+
+def test_verify_all_on_z3_combines_ideals_of_z_only(monkeypatch, tmp_path, capsys):
+    # criterion 8 on the corpus tabled the ideals of every Z/n, n <= 60, and
+    # factored 2 389 times in this query; on the file it tables the ideals
+    # (1) and (3) of Z, and the other suites factor about 130 times
+    rings = []
+    real = arith.ideal_combine
+
+    def recording(op, a, b):
+        rings.append(a.ring)
+        return real(op, a, b)
+
+    rebind(monkeypatch, real, recording)
+    counts = count_calls(monkeypatch, {"factorize": arith.factorize})
+    counts, result = cold_query(tmp_path, capsys, counts, (3,), ["verify", "--suite", "all"])
+    checks = {s["suite"]: s["checks"] for s in result["suites"]}
+    assert checks["radical-sum-identity"] == 2**3
+    assert rings and set(rings) == {arith.ZZ}
+    assert counts["factorize"] <= 150
+
+
+def test_radical_sum_suite_on_z3_factors_the_exponent_and_two_radicals(
+    factorize_calls, tmp_path, capsys
+):
+    counts, result = cold_query(
+        tmp_path, capsys, factorize_calls, (3,), ["verify", "--suite", "2.1"]
+    )
+    assert result["suites"][0]["checks"] == 8
+    assert counts["factorize"] == 3
+
+
+# ---------------------------------------------------------------------------
 # no oracle on a default path
 # ---------------------------------------------------------------------------
 
