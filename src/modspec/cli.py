@@ -353,7 +353,7 @@ def cmd_spec(module, args, caps):
         str(p): [submodule_json(ps.sub) for ps in chunk]
         for p, chunk in spectrum.fibers
     }
-    nm = natural_map(module, spectrum)
+    nm = natural_map(spectrum)
     return {
         "fibers": fibers,
         "point_count": len(spectrum),
@@ -366,13 +366,7 @@ def cmd_spec(module, args, caps):
 def cmd_radical(module, args, caps):
     sub = _parse_submodule(module, args.submodule)
     method = "closed_form" if args.strategy == "classified" else args.strategy
-    spectrum = None
-    if method != "closed_form" and module.is_finite:
-        # the brute-force radical walks every point of Spec(M)
-        spectrum = spec_enumerate(
-            module, card_cap=caps.get("cardinality", DEFAULT_CARDINALITY_CAP)
-        )
-    rad = prime_radical(sub, module, method, spectrum)
+    rad = prime_radical(sub, method, caps.get("cardinality", DEFAULT_CARDINALITY_CAP))
     return {
         "submodule": submodule_json(sub),
         "prime_radical": submodule_json(rad),
@@ -384,7 +378,7 @@ def cmd_colon(module, args, caps):
     sub = _parse_submodule(module, args.submodule)
     return {
         "submodule": submodule_json(sub),
-        "colon_ideal": ideal_json(colon(sub, module)),
+        "colon_ideal": ideal_json(colon(sub)),
         "annihilator": ideal_json(module.annihilator()),
     }
 

@@ -433,7 +433,7 @@ def scalar_multiple_submodule(f: int, module: FgModule) -> Submodule:
 # colon ideals
 # ---------------------------------------------------------------------------
 
-def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
+def colon(sub: Submodule) -> Ideal:
     """(N : M) = Ann(M/N).
 
     When N's basis is full-rank and diagonal, M/N = Z/a_1 + ... + Z/a_d
@@ -441,9 +441,7 @@ def colon(sub: Submodule, module: FgModule | None = None) -> Ideal:
     other basis goes through its Smith form: the largest Smith diagonal
     entry, or 0 when N has rank below that of M.
     """
-    module = module or sub.parent
-    if sub.parent != module:
-        raise ValueError("submodule of a different module")
+    module = sub.parent
     d = module.rank
     basis = sub.basis
     if len(basis) == d and all(

@@ -438,7 +438,7 @@ def prime_correspondence(module: FgModule, mult_set: MultSet) -> PrimeCorrespond
                 f"round trip P -> P_S -> (P_S)^c moved {ps.sub} in {module}"
             )
         lhs = loc.localize_ideal(ps.char_ideal)
-        rhs = loc.localize_ideal(colon(extended, loc.module))
+        rhs = loc.localize_ideal(colon(extended))
         if lhs != rhs:
             raise CorrespondenceError(
                 f"(P:M)_S != (P_S : M_S) at {ps.sub} in {module}: {lhs} vs {rhs}"
@@ -513,7 +513,7 @@ def verify_localization_transfer(
         loc = localize(module, ms)
         model = loc.module
         hyp = not any(
-            prime_radical(scalar_multiple_submodule(q, model), model).is_full
+            prime_radical(scalar_multiple_submodule(q, model)).is_full
             for q in model.relevant_primes()
         )
         clauses.append(

@@ -157,10 +157,10 @@ class Section:
 
 
 @lru_cache(maxsize=1024)
-def sections(module: FgModule, open_set: OpenSet) -> SectionSpace:
-    """The module of locally constant sections over an open set."""
-    if open_set.spectrum.module != module:
-        raise ValueError("open set over a different module")
+def sections(open_set: OpenSet) -> SectionSpace:
+    """The module of locally constant sections over an open set of Spec(M),
+    M the module of the open set's spectrum."""
+    module = open_set.spectrum.module
     stalks = tuple(
         (p, localize(module, MultSet.complement_of_prime(p)))
         for p in sorted(open_set.fiber_primes)
@@ -177,7 +177,7 @@ def restrict(section: Section, smaller: OpenSet) -> Section:
     big = section.space.open_set
     if not smaller.issubset(big):
         raise RestrictionError(f"{sorted(smaller.fiber_primes)} is not inside {sorted(big.fiber_primes)}")
-    target = sections(section.space.module, smaller)
+    target = sections(smaller)
     vals = tuple(
         section.value_at(p) for p, _ in target.stalks
     )
@@ -192,14 +192,18 @@ def restrict(section: Section, smaller: OpenSet) -> Section:
 class Germ:
     """Germ of a section at a prime: a representative pair (U, s).
 
-    Equality is germ equality: on a finite spectrum the minimal open around
-    P is its whole fiber, so two representatives agree on a neighborhood of
-    P iff their values at P's fiber agree.
+    U is the open set of the section s.  Equality is germ equality: on a
+    finite spectrum the minimal open around P is its whole fiber, so two
+    representatives agree on a neighborhood of P iff their values at P's
+    fiber agree.
     """
 
     at: PrimeSubmodule
-    open_set: OpenSet
     section: Section
+
+    @property
+    def open_set(self) -> OpenSet:
+        return self.section.space.open_set
 
     def value(self) -> ModElement:
         return self.section.value_at(self.at.char_prime)
@@ -241,8 +245,10 @@ class StalkResult:
     bijective: bool
 
 
-def stalk(module: FgModule, prime: PrimeSubmodule) -> StalkResult:
-    """Germ space at a prime with the explicit isomorphism onto M_(p)."""
+def stalk(prime: PrimeSubmodule) -> StalkResult:
+    """Germ space at a prime P of Spec(M), M the parent of P, with the
+    explicit isomorphism onto M_(p)."""
+    module = prime.sub.parent
     if not module.is_finite:
         raise UnsupportedModuleError("stalks are enumerated for finite modules")
     spectrum = spec_enumerate(module)
@@ -251,11 +257,11 @@ def stalk(module: FgModule, prime: PrimeSubmodule) -> StalkResult:
         raise ValueError(f"{prime.sub} is not a point of Spec({module})")
     loc = localize(module, MultSet.complement_of_prime(p))
     minimal = spectrum.open_set({p})
-    space = sections(module, minimal)
+    space = sections(minimal)
     assignments = []
     seen = set()
     for s in space.elements():
-        germ = Germ(prime, minimal, s)
+        germ = Germ(prime, s)
         value = germ.value()
         assignments.append((germ, value))
         seen.add(value.coords)
@@ -292,8 +298,7 @@ def psi_map(module: FgModule, f: int, cap: int = DEFAULT_CARDINALITY_CAP) -> Psi
     """Evaluate and test the comparison map for one basic open D(fM).  The
     section space is built before M_f, so a module that has no spectrum, or
     whose exponent cannot be factored, is refused before f is factored."""
-    spectrum = spec_enumerate(module)
-    space = sections(module, basic_open(f, module, spectrum))
+    space = sections(basic_open(f, module))
     domain = localize(module, MultSet.powers_of(f))
 
     if domain.cardinality is None:
@@ -354,9 +359,8 @@ def cover_decompose(module: FgModule, f: int, hs: list[int]) -> CoverDecompositi
         raise CoverError("need at least one covering element")
     if not (module.is_finite or module.is_prufer):
         raise UnsupportedModuleError("cover decomposition needs an enumerable spectrum")
-    spectrum = spec_enumerate(module)
-    d_f = basic_open(f, module, spectrum)
-    d_hs = [basic_open(h, module, spectrum) for h in hs]
+    d_f = basic_open(f, module)
+    d_hs = [basic_open(h, module) for h in hs]
     union = reduce(lambda a, b: a | b, d_hs)
     if not d_f.issubset(union):
         raise CoverError(
@@ -370,7 +374,7 @@ def cover_decompose(module: FgModule, f: int, hs: list[int]) -> CoverDecompositi
         raise CoverError(
             f"{f} escapes the radical of the covering colon ideals {ideal_sum(*ideals)}"
         ) from None
-    d_rs = [basic_open(r, module, spectrum) for r, _ in dec.pairs]
+    d_rs = [basic_open(r, module) for r, _ in dec.pairs]
     union_r = reduce(lambda a, b: a | b, d_rs)
     if not d_f.issubset(union_r):
         raise PropertyViolation(
@@ -525,7 +529,7 @@ def sheaf_axioms_check(module: FgModule) -> SheafAxiomsReport:
     that restrictions are module homomorphisms.
 
     The checks run on integer codes.  A section over an open U is its
-    index in ``sections(module, U).elements()``: a mixed-radix number whose
+    index in ``sections(U).elements()``: a mixed-radix number whose
     digits are the positions of its values in the stalk pools, in
     ``itertools.product`` order.  Restriction to V drops digits, so it is
     a precomputed list ``proj[U, V]`` from codes over U to codes over V.
@@ -558,12 +562,12 @@ def sheaf_axioms_check(module: FgModule) -> SheafAxiomsReport:
         for combo in itertools.combinations(primes, k)
     ]
     open_sets = {u: spectrum.open_set(u) for u in opens}
-    section_lists = {u: list(sections(module, open_sets[u]).elements()) for u in opens}
+    section_lists = {u: list(sections(open_sets[u]).elements()) for u in opens}
     sizes = {u: len(section_lists[u]) for u in opens}
     subs = {u: [v for v in opens if v <= u] for u in opens}
 
     # per-stalk digit tables; the full open's sections bound every pool
-    stalks = dict(sections(module, open_sets[opens[-1]]).stalks)
+    stalks = dict(sections(open_sets[opens[-1]]).stalks)
     pools = {p: list(stalks[p].module.elements()) for p in primes}
     index = {p: {e.coords: i for i, e in enumerate(pools[p])} for p in primes}
     radix = {p: len(pools[p]) for p in primes}

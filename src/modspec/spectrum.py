@@ -220,7 +220,7 @@ class ClosedSet:
 # prime testing and enumeration
 # ---------------------------------------------------------------------------
 
-def is_prime_submodule(sub: Submodule, module: FgModule | None = None) -> Ideal | None:
+def is_prime_submodule(sub: Submodule) -> Ideal | None:
     """Definitional brute-force prime test; the characteristic ideal on
     success, None otherwise.
 
@@ -231,14 +231,12 @@ def is_prime_submodule(sub: Submodule, module: FgModule | None = None) -> Ideal 
     through a's table gives the set of c with a*c in P in one gather, and
     one bitmask AND with the complement of P finds a c outside P with a*c
     in P."""
-    module = module if module is not None else sub.parent
-    if sub.parent != module:
-        raise ValueError("submodule of a different module")
+    module = sub.parent
     if not module.is_finite:
         raise UnsupportedModuleError("the brute-force prime test needs a finite module")
     if sub.is_full:
         return None
-    return _prime_characteristic(sub, module, _scalar_tables(module, DEFAULT_CARDINALITY_CAP))
+    return _prime_characteristic(sub, _scalar_tables(module, DEFAULT_CARDINALITY_CAP))
 
 
 def _scalar_tables(module: FgModule, card_cap: int) -> list[itemgetter]:
@@ -263,13 +261,11 @@ def _strides(factors: tuple[int, ...]) -> list[int]:
     return [math.prod(factors[i + 1 :]) for i in range(len(factors))]
 
 
-def _prime_characteristic(
-    sub: Submodule, module: FgModule, tables: list[itemgetter]
-) -> Ideal | None:
+def _prime_characteristic(sub: Submodule, tables: list[itemgetter]) -> Ideal | None:
     """The test of ``is_prime_submodule`` on a proper submodule of a finite
     module, given the scalar tables of ``_scalar_tables``."""
-    factors = module.factors
-    card = module.cardinality
+    factors = sub.parent.factors
+    card = sub.parent.cardinality
     # P's members: sum t_i * row_i with 0 <= t_i < e_i / d_i over the
     # triangular basis with pivots d_i, reduced, is each coset of the
     # relation lattice in P once
@@ -292,7 +288,7 @@ def _prime_characteristic(
             continue  # a*M <= P, condition vacuous for this a
         if int.from_bytes(hit, "little") & outside:
             return None
-    return colon(sub, module)
+    return colon(sub)
 
 
 def _subspace_bases(p: int, s: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -371,7 +367,7 @@ def _enumerate_bruteforce(module: FgModule, subgroup_cap: int, card_cap: int):
             # built at the first proper submodule, once per enumeration: the
             # zero module has none, and its codes cannot be tabled
             tables = _scalar_tables(module, card_cap)
-        char = _prime_characteristic(sub, module, tables)
+        char = _prime_characteristic(sub, tables)
         if char is not None:
             out.append(PrimeSubmodule(sub, char))
     return out
@@ -427,26 +423,23 @@ def spec_enumerate(
 # topology
 # ---------------------------------------------------------------------------
 
-def variety(
-    sub: Submodule, module: FgModule | None = None, spectrum: Spectrum | None = None
-) -> ClosedSet:
-    """V(N): the fibers (p) of the spectrum with p | [M : N].
+def variety(sub: Submodule) -> ClosedSet:
+    """V(N): the fibers (p) of ``spec_enumerate(M)`` with p | [M : N], M
+    the parent of N.
 
     A (p)-prime contains N exactly when N + pM is proper, that is when p
     divides the order of M/N.
     """
-    module = module if module is not None else sub.parent
-    spectrum = spectrum if spectrum is not None else spec_enumerate(module)
+    spectrum = spec_enumerate(sub.parent)
     index = sub.index()
     return ClosedSet(spectrum, frozenset(p for p in spectrum.fiber_primes if index % p == 0))
 
 
-def basic_open(
-    f: int, module: FgModule, spectrum: Spectrum | None = None
-) -> OpenSet:
-    """D(fM), the complement of V(fM): the fibers (p) with p not dividing f,
-    since [M : fM] is the product of the gcd(f, e_i)."""
-    spectrum = spectrum if spectrum is not None else spec_enumerate(module)
+def basic_open(f: int, module: FgModule) -> OpenSet:
+    """D(fM), the complement of V(fM): the fibers (p) of
+    ``spec_enumerate(M)`` with p not dividing f, since [M : fM] is the
+    product of the gcd(f, e_i)."""
+    spectrum = spec_enumerate(module)
     return OpenSet(spectrum, frozenset(p for p in spectrum.fiber_primes if f % p))
 
 
@@ -455,26 +448,25 @@ def basic_open(
 # ---------------------------------------------------------------------------
 
 def prime_radical(
-    sub: Submodule,
-    module: FgModule | None = None,
-    method: str = "closed_form",
-    spectrum: Spectrum | None = None,
+    sub: Submodule, method: str = "closed_form", card_cap: int = DEFAULT_CARDINALITY_CAP
 ) -> Submodule:
-    """Intersection of the primes containing N; M itself when none exist.
+    """Intersection of the primes of M containing N, M the parent of N; M
+    itself when none exist.
 
-    Two implementations: "bruteforce" intersects over the points of
-    ``spectrum`` (by default the classified one), so it refuses where that
-    walk does; "closed_form" returns N + rM, where r is the product of the
-    relevant primes p dividing [M : N].  Those are the p with N + pM
-    proper, and their intersection is N + rM because M/N is the direct sum
-    of its primary parts.  "both" runs the two and insists they agree.
+    Two implementations: "bruteforce" intersects over the points of the
+    classified spectrum made with ``card_cap``, so it refuses more than
+    ``card_cap`` points before it builds one; "closed_form" returns N + rM,
+    where r is the product of the relevant primes p dividing [M : N].
+    Those are the p with N + pM proper, and their intersection is N + rM
+    because M/N is the direct sum of its primary parts.  "both" runs the
+    two and insists they agree.
     """
-    module = module if module is not None else sub.parent
+    module = sub.parent
     if not module.is_finite:
         raise UnsupportedModuleError("prime radicals need an enumerable spectrum")
     if method == "both":
-        closed = prime_radical(sub, module, "closed_form")
-        brute = prime_radical(sub, module, "bruteforce", spectrum)
+        closed = prime_radical(sub, "closed_form")
+        brute = prime_radical(sub, "bruteforce", card_cap)
         if closed != brute:
             raise PropertyViolation(
                 f"prime radical implementations disagree on {module}"
@@ -487,7 +479,7 @@ def prime_radical(
         )
         return sub if rm <= sub else sub.add(rm)
     if method == "bruteforce":
-        spectrum = spectrum if spectrum is not None else spec_enumerate(module)
+        spectrum = spec_enumerate(module, card_cap=card_cap)
         containing = [ps.sub for ps in spectrum.primes() if sub <= ps.sub]
         if not containing:
             return module.full_submodule()
@@ -546,8 +538,7 @@ def is_pradical(module: FgModule) -> PradicalResult:
         )
     for p in module.relevant_primes():
         pm = scalar_multiple_submodule(p, module)
-        rad = prime_radical(pm, module, "closed_form")
-        lhs = colon(rad, module)
+        lhs = colon(prime_radical(pm))
         rhs = ideal(ring, p)
         if lhs != rhs:
             return PradicalResult(False, PradicalCertificate(rhs, lhs, rhs))
@@ -569,7 +560,10 @@ class NaturalMapResult:
     note: str = ""
 
 
-def natural_map(module: FgModule, spectrum: Spectrum | None = None) -> NaturalMapResult:
+def natural_map(spectrum: Spectrum) -> NaturalMapResult:
+    """psi on the points of ``spectrum``, read as Spec(M) for its module M;
+    a walk over all points, so it refuses where ``Spectrum.primes()`` does."""
+    module = spectrum.module
     if module.is_prufer:
         return NaturalMapResult(
             module,
@@ -578,9 +572,6 @@ def natural_map(module: FgModule, spectrum: Spectrum | None = None) -> NaturalMa
             False,
             note="empty spectrum cannot cover Spec(Z/Ann) = Spec(Z)",
         )
-    if not module.is_finite:
-        raise UnsupportedModuleError("the natural map is enumerated for finite modules")
-    spectrum = spectrum if spectrum is not None else spec_enumerate(module)
     assignments = tuple((ps, ps.char_ideal) for ps in spectrum.primes())
     codomain = module.relevant_primes()
     hit = {ps.char_prime for ps, _ in assignments}

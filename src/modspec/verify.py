@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .arith import ZZ, Zmod, factorize, ideal, ideal_combine, ideal_radical
-from .corpus import finite_corpus, full_corpus, prufer_corpus
+from .corpus import finite_corpus, full_corpus
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
     FgModule,
@@ -167,8 +167,8 @@ def check_prime_radical_oracle(modules: Sequence[FgModule] | None = None) -> Sui
             continue
         for sub in all_submodules(m):
             checks += 1
-            closed = prime_radical(sub, m, "closed_form")
-            brute = prime_radical(sub, m, "bruteforce")
+            closed = prime_radical(sub, "closed_form")
+            brute = prime_radical(sub, "bruteforce")
             if closed != brute:
                 failures.append(f"{m}: N = {sub} closed {closed} vs brute {brute}")
     return SuiteResult(
@@ -189,7 +189,7 @@ def check_stalks(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     for m in _modules(modules, finite_only=True):
         for ps in spec_enumerate(m).primes():
             checks += 1
-            res = stalk(m, ps)
+            res = stalk(ps)
             expected = localize(m, MultSet.complement_of_prime(ps.char_prime))
             if not res.bijective:
                 failures.append(f"{m}: evaluation not bijective at {ps.sub}")
@@ -273,12 +273,13 @@ def check_iso_criterion(modules: Sequence[FgModule] | None = None) -> SuiteResul
 def check_prufer_controls(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     """Negative controls on the divisible torsion group: empty spectrum,
     failing prime radical condition with certificate, vanishing global
-    sections."""
+    sections, and a natural map that is not surjective."""
     failures = []
     checks = 0
-    mods = [m for m in (modules if modules is not None else prufer_corpus()) if m.is_prufer]
-    for m in mods:
-        checks += 3
+    for m in _modules(modules):
+        if not m.is_prufer:
+            continue
+        checks += 4
         spec = spec_enumerate(m)
         if not spec.is_empty:
             failures.append(f"{m}: spectrum not empty")
@@ -287,10 +288,10 @@ def check_prufer_controls(modules: Sequence[FgModule] | None = None) -> SuiteRes
             ZZ, m.prufer_prime
         ):
             failures.append(f"{m}: missing or wrong certificate")
-        space = sections(m, spec.full_open())
+        space = sections(spec.full_open())
         if not space.carrier.is_zero:
             failures.append(f"{m}: global sections nonzero")
-        if natural_map(m).surjective:
+        if natural_map(spec).surjective:
             failures.append(f"{m}: natural map reported surjective")
     return SuiteResult(
         "prufer-controls",
@@ -488,12 +489,12 @@ def _direct_sum_checks(m1: FgModule, m2: FgModule) -> tuple[int, list[str]]:
         ok = (
             not lifted.is_full
             and scalar_multiple_submodule(p, m) <= lifted
-            and colon(lifted, m) == ideal(m.ring, p)
+            and colon(lifted) == ideal(m.ring, p)
         )
         if ok and m.cardinality <= 512:
             if tables is None:
                 tables = _scalar_tables(m, DEFAULT_CARDINALITY_CAP)
-            ok = _prime_characteristic(lifted, m, tables) == ideal(m.ring, p)
+            ok = _prime_characteristic(lifted, tables) == ideal(m.ring, p)
         if not ok:
             failures.append(f"{m1} (+) {m2}: prime over ({p}) fails to lift")
     return checks, failures
@@ -534,10 +535,9 @@ def check_cover_decomposition(modules: Sequence[FgModule] | None = None) -> Suit
     # the zero module alone leaves the pool empty, which makes no checks
     for _ in range(100 if pool else 0):
         m = rng.choice(pool)
-        spectrum = spec_enumerate(m)
-        relevant = sorted(spectrum.fiber_primes)
+        relevant = sorted(spec_enumerate(m).fiber_primes)
         f = rng.randint(0, 12)
-        d_f = sorted(basic_open(f, m, spectrum).fiber_primes)
+        d_f = sorted(basic_open(f, m).fiber_primes)
         k = rng.randint(1, 3)
         subsets = []
         for i in range(k):
@@ -632,13 +632,12 @@ def check_primeful(modules: Sequence[FgModule] | None = None) -> SuiteResult:
     checks = 0
     for m in _modules(modules, finite_only=True):
         checks += 1
-        spectrum = spec_enumerate(m)
-        if not natural_map(m, spectrum).surjective:
+        if not natural_map(spec_enumerate(m)).surjective:
             failures.append(f"{m}: natural map not surjective")
         if m.cardinality <= 64:
             for sub in all_submodules(m):
                 checks += 1
-                if variety(sub, m, spectrum) != variety(prime_radical(sub, m), m, spectrum):
+                if variety(sub) != variety(prime_radical(sub)):
                     failures.append(f"{m}: V(N) != V(prime radical of N)")
     return SuiteResult(
         "primeful",

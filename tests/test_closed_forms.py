@@ -75,7 +75,7 @@ def prime_radical_reference(sub, module):
 
 def variety_reference(sub, module):
     """V(N) as the fibers (p) that contain the colon ideal (N : M)."""
-    c = colon(sub, module)
+    c = colon(sub)
     return frozenset(p for p in spec_enumerate(module).fiber_primes if c.gen % p == 0)
 
 
@@ -131,7 +131,7 @@ def test_closed_forms_match_the_normal_forms(orders, n, free_rank, f, k):
     for g in (f, k * (m.factors[-1] if m.factors else 1)):
         fm = scalar_multiple_submodule(g, m)
         assert fm == scalar_multiple_reference(g, m), (str(m), g)
-        assert colon(fm, m) == colon_reference(fm, m), (str(m), g)
+        assert colon(fm) == colon_reference(fm, m), (str(m), g)
         assert _colon_radical(m, g) == ideal_radical(colon_reference(fm, m)), (str(m), g)
         assert fm.is_zero == (g == 0 or (m.is_finite and g % (m.exponent) == 0))
 
@@ -174,7 +174,7 @@ def test_fm_the_zero_submodule_and_their_colons_run_no_smith_form(smith_calls, m
         (from_cyclic_orders(Zmod(12), [6, 6, 6]), {-5: 1, 0: 6, 2: 2, 3: 3, 6: 6, 8: 2}),
     ):
         for f, gen in expected.items():
-            assert colon(scalar_multiple_submodule(f, m), m) == ideal(m.ring, gen)
+            assert colon(scalar_multiple_submodule(f, m)) == ideal(m.ring, gen)
             assert m.zero_submodule().is_zero
     assert smith_calls == [] and hnf_calls == []
 
@@ -186,7 +186,7 @@ def test_fm_the_zero_submodule_and_their_colons_run_no_smith_form(smith_calls, m
 def test_colon_matches_smith_on_every_corpus_submodule():
     for m in finite_corpus():
         for sub in all_submodules(m):
-            assert colon(sub, m) == colon_reference(sub, m), (str(m), sub.basis)
+            assert colon(sub) == colon_reference(sub, m), (str(m), sub.basis)
 
 
 def test_colon_reads_a_diagonal_basis_from_any_constructor(smith_calls):
@@ -220,7 +220,7 @@ def test_bruteforce_prime_radical_matches_the_plain_intersection():
         if m.cardinality > 32:
             subs = subs[::16] + [m.zero_submodule()]
         for sub in subs:
-            got = prime_radical(sub, m, "bruteforce")
+            got = prime_radical(sub, "bruteforce")
             assert got == prime_radical_reference(sub, m), (str(m), sub.basis)
 
 
@@ -235,11 +235,11 @@ def test_bruteforce_prime_radical_intersects_only_what_cuts(monkeypatch):
     monkeypatch.setattr("modspec.fgmodules.lattice_intersection", counting)
     m = FgModule(ZZ, (2,) * 6)
     sub = submodule_from_generators(m, [m.element([1, 1, 0, 0, 1, 0])])
-    closed = prime_radical(sub, m, "closed_form")
+    closed = prime_radical(sub, "closed_form")
     calls.clear()
     spec_enumerate.cache_clear()
     try:
-        assert prime_radical(sub, m, "bruteforce") == closed
+        assert prime_radical(sub, "bruteforce") == closed
     finally:
         spec_enumerate.cache_clear()
     # 373 of the 2 824 points of Spec((Z/2)^6) contain sub; a few cut the
@@ -252,10 +252,10 @@ def test_bruteforce_prime_radical_intersects_only_what_cuts(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def assert_index_rule(sub, m):
-    assert variety(sub, m).fiber_primes == variety_reference(sub, m), (str(m), sub.basis)
-    rad = prime_radical(sub, m)
+    assert variety(sub).fiber_primes == variety_reference(sub, m), (str(m), sub.basis)
+    rad = prime_radical(sub)
     assert rad == closed_form_radical_reference(sub, m), (str(m), sub.basis)
-    assert variety(rad, m) == variety(sub, m)
+    assert variety(rad) == variety(sub)
 
 
 @given(
@@ -302,13 +302,13 @@ def test_scalar_colon_and_basic_open_match_the_lattice_path():
             if m.is_prufer:
                 # divisible, so fM = M, and primeless: D(fM) is empty
                 assert scalar_colon(f, m) == ideal(ZZ, 1 if f else 0)
-                assert basic_open(f, m, spectrum).is_empty
+                assert basic_open(f, m).is_empty
                 continue
             fm = scalar_multiple_submodule(f, m)
-            assert scalar_colon(f, m) == colon(fm, m), (str(m), f)
+            assert scalar_colon(f, m) == colon(fm), (str(m), f)
             if spectrum is not None:
-                expected = variety(fm, m, spectrum).complement()
-                assert basic_open(f, m, spectrum) == expected, (str(m), f)
+                expected = variety(fm).complement()
+                assert basic_open(f, m) == expected, (str(m), f)
     assert cases == 22_748
 
 
@@ -337,13 +337,13 @@ def test_closed_form_radical_adds_once_and_never_intersects(monkeypatch):
     for m in (from_cyclic_orders(ZZ, [2, 6, 30]), from_cyclic_orders(Zmod(60), [2, 60])):
         for sub in list(all_submodules(m))[::7]:
             calls.clear()
-            prime_radical(sub, m, "closed_form")
+            prime_radical(sub, "closed_form")
             assert calls in ([], ["lattice_sum"]), (str(m), sub.basis)
     # N already prime-radical: rM <= N, and N is returned with no sum
     m = from_cyclic_orders(ZZ, [2, 6, 30])
     pm = scalar_multiple_submodule(2, m)
     calls.clear()
-    assert prime_radical(pm, m) is pm and calls == []
+    assert prime_radical(pm) is pm and calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ def test_one_factorization_of_the_exponent_per_module_object(monkeypatch, ring):
         prime_radical(m.zero_submodule())
         for p in primes:
             assert localize(m, MultSet.complement_of_prime(p)).factors
-            assert sections(m, spectrum.open_set({p})).carrier.factors
+            assert sections(spectrum.open_set({p})).carrier.factors
     finally:
         for cache in caches:
             cache.cache_clear()

@@ -1,5 +1,6 @@
-"""Every name a ``modspec`` module imports is used in that module, and
-every function it defines is referenced somewhere.
+"""Every name a ``modspec`` module imports is used in that module, every
+function it defines is referenced somewhere, and no function takes a
+module beside an operand it could read the module off.
 
 A function or method counts as referenced when its name occurs in
 ``src/``, ``tests/`` or ``perfbench/`` as a name, an attribute, an imported
@@ -49,6 +50,46 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=[p.name for p in PACKAGE_FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# each of these knows its module: a submodule its parent, a point its
+# submodule's parent, and an open set or a section its spectrum's module
+OPERANDS = {"Submodule", "PrimeSubmodule", "OpenSet", "Spectrum", "Section"}
+
+
+def module_beside_operand(source: str) -> list[str]:
+    """Functions with a parameter annotated ``FgModule`` beside one
+    annotated with an operand that already names the module: a caller
+    could pass a module that disagrees with the operand."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            names = {
+                n.id
+                for arg in args
+                if arg.annotation is not None
+                for n in ast.walk(arg.annotation)
+                if isinstance(n, ast.Name)
+            }
+            if "FgModule" in names and names & OPERANDS:
+                out.append(node.name)
+    return out
+
+
+def test_checker_sees_a_module_beside_its_operand():
+    source = (
+        "def index(sub: Submodule, module: FgModule | None = None) -> int:\n    pass\n\n\n"
+        "def spans(module: FgModule, f: int) -> bool:\n    pass\n\n\n"
+        "def stalk_of(spectrum: Spectrum, p: int):\n    pass\n\n\n"
+        "class A:\n    def over(self, module: FgModule, u: OpenSet):\n        pass\n"
+    )
+    assert module_beside_operand(source) == ["index", "over"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=[p.name for p in PACKAGE_FILES])
+def test_no_module_beside_its_operand(path):
+    assert module_beside_operand(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_functions(defining: dict[str, str], referencing: list[str]) -> list[str]:

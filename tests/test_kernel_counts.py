@@ -391,10 +391,10 @@ def test_no_default_query_runs_an_oracle(monkeypatch, tmp_path, capsys):
     oracle_radicals = []
     real = spectrum.prime_radical
 
-    def recording(sub, module=None, method="closed_form", spectrum=None):
+    def recording(sub, method="closed_form", card_cap=fgmodules.DEFAULT_CARDINALITY_CAP):
         if method != "closed_form":
             oracle_radicals.append(method)
-        return real(sub, module, method, spectrum)
+        return real(sub, method, card_cap)
 
     rebind(monkeypatch, real, recording)
     # the one exception is default spec: it runs both strategies for as long

@@ -73,7 +73,7 @@ def prime_characteristic_by_tuples(sub, module):
         for c in coords_all:
             if scaled(a, c) in member and c not in member:
                 return None
-    return colon(sub, module)
+    return colon(sub)
 
 
 def direct_sums_without_memo(modules):
@@ -102,11 +102,11 @@ def direct_sums_without_memo(modules):
             ok = (
                 not lifted.is_full
                 and verify.scalar_multiple_submodule(p, m) <= lifted
-                and verify.colon(lifted, m) == verify.ideal(m.ring, p)
+                and verify.colon(lifted) == verify.ideal(m.ring, p)
             )
             if ok and m.cardinality <= 512:
                 tables = verify._scalar_tables(m, 4096)
-                ok = verify._prime_characteristic(lifted, m, tables) == verify.ideal(m.ring, p)
+                ok = verify._prime_characteristic(lifted, tables) == verify.ideal(m.ring, p)
             if not ok:
                 failures.append(f"{m1} (+) {m2}: prime over ({p}) fails to lift")
     return SuiteResult(
@@ -132,7 +132,7 @@ def assert_prime_test_matches_reference(module, subs):
     for sub in subs:
         if not sub.is_full:
             expected = prime_characteristic_by_tuples(sub, module)
-            assert _prime_characteristic(sub, module, tables) == expected, (str(module), sub)
+            assert _prime_characteristic(sub, tables) == expected, (str(module), sub)
 
 
 def test_walk_matches_the_candidate_filter_on_the_corpus():
@@ -231,7 +231,7 @@ def test_direct_sums_match_the_memo_free_reference(pool):
 
 @pytest.mark.parametrize("pool", [ONE_MODULE, MIXED_POOL], ids=["one-module", "mixed"])
 def test_failing_lifts_repeat_once_per_draw(monkeypatch, pool):
-    monkeypatch.setattr(verify, "_prime_characteristic", lambda sub, module, tables: None)
+    monkeypatch.setattr(verify, "_prime_characteristic", lambda sub, tables: None)
     got = check_direct_sums(pool)
     assert got == direct_sums_without_memo(pool)
     if pool is ONE_MODULE:
@@ -253,9 +253,9 @@ def test_each_pair_tables_its_sum_once(monkeypatch, m1, m2):
     lifts = []
     real_test = verify._prime_characteristic
 
-    def recording(sub, module, tables):
-        lifts.append(module)
-        return real_test(sub, module, tables)
+    def recording(sub, tables):
+        lifts.append(sub.parent)
+        return real_test(sub, tables)
 
     monkeypatch.setattr(verify, "_prime_characteristic", recording)
     checks, failures = verify._direct_sum_checks(FgModule(ZZ, m1), FgModule(ZZ, m2))

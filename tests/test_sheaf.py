@@ -41,15 +41,15 @@ from modspec.spectrum import basic_open, spec_enumerate
 def test_sections_examples():
     m = from_cyclic_orders(ZZ, [6])
     spec = spec_enumerate(m)
-    space = sections(m, spec.full_open())
+    space = sections(spec.full_open())
     assert space.carrier.factors == (6,)
     assert space.cardinality == 6
 
-    assert sections(m, spec.empty_open()).carrier.is_zero
+    assert sections(spec.empty_open()).carrier.is_zero
 
     p = prufer_module(3)
     pspec = spec_enumerate(p)
-    assert sections(p, pspec.full_open()).carrier.is_zero
+    assert sections(pspec.full_open()).carrier.is_zero
 
 
 def test_sections_carrier_is_the_sum_of_the_stalks():
@@ -58,7 +58,7 @@ def test_sections_carrier_is_the_sum_of_the_stalks():
         primes = sorted(spec.fiber_primes)
         for k in range(len(primes) + 1):
             for chosen in itertools.combinations(primes, k):
-                space = sections(m, spec.open_set(chosen))
+                space = sections(spec.open_set(chosen))
                 folded = zero_module(m.ring)
                 for _, loc in space.stalks:
                     folded = direct_sum(folded, loc.module)
@@ -68,7 +68,7 @@ def test_sections_carrier_is_the_sum_of_the_stalks():
 def test_restrict_examples():
     m = from_cyclic_orders(ZZ, [6])
     spec = spec_enumerate(m)
-    space = sections(m, spec.full_open())
+    space = sections(spec.full_open())
     s = space.section(
         {
             2: space.stalks[0][1].module.element([1]),
@@ -86,7 +86,7 @@ def test_restrict_examples():
 def test_restrict_requires_containment():
     m = from_cyclic_orders(ZZ, [6])
     spec = spec_enumerate(m)
-    s = sections(m, spec.open_set({2})).zero()
+    s = sections(spec.open_set({2})).zero()
     with pytest.raises(RestrictionError):
         restrict(s, spec.full_open())
 
@@ -97,7 +97,7 @@ def test_restriction_transitivity():
     u = spec.full_open()
     v = spec.open_set({2, 5})
     w = spec.open_set({5})
-    for s in sections(m, u).elements():
+    for s in sections(u).elements():
         assert restrict(restrict(s, v), w) == restrict(s, w)
 
 
@@ -108,18 +108,18 @@ def test_restriction_transitivity():
 def test_stalk_examples():
     m = from_cyclic_orders(ZZ, [6])
     (p2,) = spec_enumerate(m).fiber(2)
-    res = stalk(m, p2)
+    res = stalk(p2)
     assert res.bijective
     assert res.localized.factors == (2,)
 
     m4 = from_cyclic_orders(ZZ, [4])
     (q,) = spec_enumerate(m4).fiber(2)
-    res = stalk(m4, q)
+    res = stalk(q)
     assert res.bijective and res.localized.factors == (4,)
 
     klein = from_cyclic_orders(ZZ, [2, 2])
     for ps in spec_enumerate(klein).primes():
-        res = stalk(klein, ps)
+        res = stalk(ps)
         assert res.bijective and res.localized.factors == (2, 2)
 
 
@@ -130,8 +130,8 @@ def test_germ_equality_matches_definition():
     opens = [spec.full_open(), spec.open_set({2})]
     germs = []
     for u in opens:
-        for s in sections(m, u).elements():
-            germs.append(Germ(p2, u, s))
+        for s in sections(u).elements():
+            germs.append(Germ(p2, s))
     for g1 in germs:
         for g2 in germs:
             assert (g1 == g2) == g1.agrees_by_definition(g2)
@@ -186,11 +186,10 @@ def test_psi_is_homomorphism():
 def test_psi_naturality():
     # restricting psi_f(x) to D(fgM) equals psi_fg of the relocalized x
     m = from_cyclic_orders(ZZ, [12])
-    spec = spec_enumerate(m)
     for f, g in [(1, 2), (1, 3), (2, 3), (3, 2), (1, 6)]:
         res_f = psi_map(m, f)
         res_fg = psi_map(m, f * g)
-        d_fg = basic_open(f * g, m, spec)
+        d_fg = basic_open(f * g, m)
         for x, s in res_f.assignments:
             moved = relocalize(x, res_f.domain, res_fg.domain)
             assert restrict(s, d_fg) == res_fg.image_of(moved)
@@ -349,7 +348,7 @@ def sheaf_axioms_reference(
     for k in range(len(primes) + 1):
         for combo in itertools.combinations(primes, k):
             opens.append(spectrum.open_set(combo))
-    spaces = {o.fiber_primes: sections(module, o) for o in opens}
+    spaces = {o.fiber_primes: sections(o) for o in opens}
     section_lists = {o.fiber_primes: list(spaces[o.fiber_primes].elements(cap)) for o in opens}
 
     def restrictor(src_primes, dst_primes):
@@ -524,7 +523,7 @@ def test_compatible_families_match_the_product_filter(orders):
     opens = [
         frozenset(c) for k in range(len(primes) + 1) for c in itertools.combinations(primes, k)
     ]
-    secs = {u: list(sections(m, spec.open_set(u)).elements()) for u in opens}
+    secs = {u: list(sections(spec.open_set(u)).elements()) for u in opens}
     proj = {
         (u, v): [secs[v].index(restrict(s, spec.open_set(v))) for s in secs[u]]
         for u in opens

@@ -139,7 +139,7 @@ def test_fibers_nonempty_and_correctly_labeled(module):
         assert chunk
         for ps in chunk:
             assert ps.char_ideal == ideal(module.ring, p)
-            assert colon(ps.sub, module) == ps.char_ideal
+            assert colon(ps.sub) == ps.char_ideal
             assert not ps.sub.is_full
 
 
@@ -167,7 +167,7 @@ def test_basic_open_examples():
 def test_basic_open_is_nondivisibility(module):
     spec = spec_enumerate(module)
     for f in range(0, 8):
-        got = basic_open(f, module, spec).fiber_primes
+        got = basic_open(f, module).fiber_primes
         expected = {p for p in spec.fiber_primes if module.ring.reduce(f) % p != 0}
         assert got == expected
 
@@ -176,13 +176,13 @@ def test_basic_open_is_nondivisibility(module):
 def test_variety_depends_only_on_prime_radical(module):
     spec = spec_enumerate(module)
     for sub in all_submodules(module):
-        rad = prime_radical(sub, module)
-        assert variety(sub, module, spec) == variety(rad, module, spec)
+        rad = prime_radical(sub)
+        assert variety(sub) == variety(rad)
         # and the variety is exactly the set of primes containing N
         direct = frozenset(
             ps.char_prime for ps in spec.primes() if sub <= ps.sub
         )
-        assert variety(sub, module, spec).fiber_primes == direct
+        assert variety(sub).fiber_primes == direct
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_prime_radical_examples():
 @pytest.mark.parametrize("module", [m for m in SMALL_CORPUS if m.cardinality <= 64], ids=str)
 def test_prime_radical_closed_form_matches_bruteforce(module):
     for sub in all_submodules(module):
-        assert prime_radical(sub, module, "both") is not None
+        assert prime_radical(sub, "both") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +246,26 @@ def test_pradical_direct_sums():
 
 def test_natural_map_examples():
     m = from_cyclic_orders(ZZ, [6])
-    res = natural_map(m)
+    res = natural_map(spec_enumerate(m))
     assert res.surjective
     assert set(res.codomain_primes) == {2, 3}
     assert {i.gen for _, i in res.assignments} == {2, 3}
 
-    res = natural_map(prufer_module(3))
+    res = natural_map(spec_enumerate(prufer_module(3)))
     assert not res.surjective and res.codomain_primes is None
 
-    assert natural_map(zero_module(ZZ)).surjective
+    assert natural_map(spec_enumerate(zero_module(ZZ))).surjective
 
 
 @pytest.mark.parametrize("module", SMALL_CORPUS, ids=str)
 def test_finite_modules_are_primeful(module):
-    assert natural_map(module).surjective
+    assert natural_map(spec_enumerate(module)).surjective
 
 
 def test_natural_map_reuses_a_given_spectrum():
     m = from_cyclic_orders(ZZ, [2, 6])
     spec = spec_enumerate(m, "both")
-    res = natural_map(m, spec)
+    res = natural_map(spec)
     assert res.surjective
     assert tuple(ps for ps, _ in res.assignments) == tuple(spec.primes())
 
@@ -403,7 +403,7 @@ def test_opens_sections_psi_and_covers_build_no_fiber(built):
     assert len(spec) == 15 + 27  # proper subspaces of F_2^3 and of F_3^3
     assert basic_open(2, m).fiber_primes == {3}
     assert variety(scalar_multiple_submodule(3, m)).fiber_primes == {3}
-    assert sections(m, basic_open(1, m)).cardinality == m.cardinality
+    assert sections(basic_open(1, m)).cardinality == m.cardinality
     assert psi_map(m, 2).bijective
     assert cover_decompose(m, 1, [4, 9]).covers_exactly
     assert built == []
@@ -414,7 +414,7 @@ def test_stalk_builds_only_its_fiber(built):
     prime = spec_enumerate(m).fiber(3)[0]
     spec_enumerate.cache_clear()
     built.clear()
-    assert stalk(m, prime).bijective
+    assert stalk(prime).bijective
     assert built == [(m, 3)]
 
 
@@ -547,9 +547,9 @@ def test_suites_that_walk_the_spectrum_refuse_past_the_points_cap(built, check):
     [
         lambda m: list(spec_enumerate(m).primes()),
         lambda m: spec_enumerate(m).fibers,
-        lambda m: prime_radical(m.zero_submodule(), m, "bruteforce"),
-        lambda m: prime_radical(m.zero_submodule(), m, "both"),
-        natural_map,
+        lambda m: prime_radical(m.zero_submodule(), "bruteforce"),
+        lambda m: prime_radical(m.zero_submodule(), "both"),
+        lambda m: natural_map(spec_enumerate(m)),
         lambda m: prime_correspondence(m, MultSet.powers_of(3)),
     ],
     ids=["primes", "fibers", "bruteforce-radical", "both-radical", "natural-map", "correspondence"],
@@ -570,8 +570,8 @@ def test_the_points_cap_bounds_the_walks_and_not_one_fiber(built):
     walks = (
         lambda: list(refused.primes()),
         lambda: refused.fibers,
-        lambda: prime_radical(zero, m, "bruteforce", refused),
-        lambda: natural_map(m, refused),
+        lambda: prime_radical(zero, "bruteforce", card_cap=14),
+        lambda: natural_map(refused),
     )
     for walk in walks:
         with pytest.raises(CapExceededError) as exc:
@@ -585,8 +585,8 @@ def test_the_points_cap_bounds_the_walks_and_not_one_fiber(built):
     answered = spec_enumerate(m, card_cap=15)
     assert len(answered.fiber(2)) == 15 and built == [(m, 2), (m, 2)]
     assert len(list(answered.primes())) == 15 and [p for p, _ in answered.fibers] == [2]
-    assert prime_radical(zero, m, "bruteforce", answered) == prime_radical(zero, m)
-    assert natural_map(m, answered).surjective
+    assert prime_radical(zero, "bruteforce", card_cap=15) == prime_radical(zero)
+    assert natural_map(answered).surjective
 
 
 def test_the_points_refusal_is_written_once():
@@ -607,7 +607,7 @@ def test_the_zero_module_through_the_general_path(ring):
     for strategy in ("bruteforce", "classified", "both"):
         spec = spec_enumerate(z, strategy)
         assert spec.is_empty and spec.fibers == () and len(spec) == 0
-    nm = natural_map(z)
+    nm = natural_map(spec_enumerate(z))
     assert nm.surjective and nm.assignments == () and nm.codomain_primes == ()
     # the note that is_pradical gives is kept: the pradical report carries it
     assert is_pradical(z).note == "zero module: no prime examined fails"
@@ -622,7 +622,7 @@ def test_the_zero_module_has_no_branch_of_its_own():
     z = zero_module(ZZ)
     with pytest.raises(ValueError, match="unknown strategy"):
         spec_enumerate(z, "nope")
-    assert natural_map(z).note == ""
+    assert natural_map(spec_enumerate(z)).note == ""
 
 
 def test_degenerate_arithmetic_through_the_general_path():

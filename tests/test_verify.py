@@ -1,5 +1,6 @@
 """Criterion 8 read off per-scope tables, against the per-triple check, on
-the corpus and on given modules; and the refusals of a single suite."""
+the corpus and on given modules; criterion 7's module list and count; and
+the refusals of a single suite."""
 
 import importlib
 import json
@@ -13,7 +14,7 @@ from modspec import verify
 from modspec.arith import ZZ, Ideal, Zmod, ideal, ideal_combine, ideal_radical
 from modspec.cli import main
 from modspec.fgmodules import CapExceededError, FgModule, UnsupportedModuleError, prufer_module
-from modspec.verify import check_radical_sum_identity, run_suite
+from modspec.verify import check_prufer_controls, check_radical_sum_identity, run_suite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -183,6 +184,25 @@ def test_the_cap_admits_d_e_cubed_up_to_it(monkeypatch):
     monkeypatch.setattr(verify, "MAX_IDEAL_TRIPLES", 64**3)
     result = check_radical_sum_identity([FgModule(ZZ, (30030,))])
     assert result.checks == 64**3 and result.ok
+
+
+# ---------------------------------------------------------------------------
+# criterion 7 reads its modules as every other suite does
+# ---------------------------------------------------------------------------
+
+def test_criterion_7_makes_four_checks_per_pruefer_group():
+    # empty spectrum, certificate, global sections and natural map on each
+    # of the corpus's three Pruefer groups
+    corpus = check_prufer_controls()
+    assert corpus.checks == 12 and corpus.ok
+    one = check_prufer_controls([prufer_module(5)])
+    assert one.checks == 4 and one.ok
+    assert check_prufer_controls([FgModule(ZZ, (6,))]).checks == 0
+
+
+def test_criterion_7_refuses_a_module_with_free_rank():
+    with pytest.raises(UnsupportedModuleError, match="has free rank 1"):
+        check_prufer_controls([FgModule(ZZ, (), 1)])
 
 
 # ---------------------------------------------------------------------------
