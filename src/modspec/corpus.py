@@ -29,21 +29,19 @@ def factor_pool() -> tuple[int, ...]:
     return tuple(sorted(pool))
 
 
-def invariant_chains(
-    max_len: int = MAX_FACTORS, max_card: int = MAX_CARDINALITY
-) -> tuple[tuple[int, ...], ...]:
+def invariant_chains() -> tuple[tuple[int, ...], ...]:
     """All divisibility chains from the factor pool, including the empty
     chain (the zero module)."""
     pool = factor_pool()
     chains = [()]
     frontier = [()]
-    for _ in range(max_len):
+    for _ in range(MAX_FACTORS):
         new = []
         for chain in frontier:
             for e in pool:
                 if chain and e % chain[-1]:
                     continue
-                if math.prod(chain) * e > max_card:
+                if math.prod(chain) * e > MAX_CARDINALITY:
                     continue
                 new.append(chain + (e,))
         chains.extend(new)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -157,8 +157,8 @@ class FgModule:
         return parts
 
     def __getstate__(self):
-        # pickle the fields alone: the read-only view of ``primary`` cannot
-        return {k: v for k, v in self.__dict__.items() if k != "_primary"}
+        # pickle and copy the fields alone, not what is kept on the object
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def relevant_primes(self) -> tuple[int, ...]:
         """Primes p with (p) containing the annihilator; finite modules only."""

@@ -110,13 +110,15 @@ class SectionSpace:
     def zero(self) -> Section:
         return Section(self, tuple(loc.module.zero_element() for _, loc in self.stalks))
 
-    def elements(self, cap: int = DEFAULT_CARDINALITY_CAP) -> Iterator[Section]:
+    def elements(self) -> Iterator[Section]:
         card = self.cardinality
         if card is None:
             raise UnsupportedModuleError("section space over an infinite stalk")
-        if card > cap:
-            raise CapExceededError(f"{card} sections exceed the cardinality cap {cap}")
-        pools = [list(loc.module.elements(cap)) for _, loc in self.stalks]
+        if card > DEFAULT_CARDINALITY_CAP:
+            raise CapExceededError(
+                f"{card} sections exceed the cardinality cap {DEFAULT_CARDINALITY_CAP}"
+            )
+        pools = [list(loc.module.elements()) for _, loc in self.stalks]
         for combo in itertools.product(*pools):
             yield Section(self, tuple(combo))
 

@@ -14,14 +14,15 @@ fiber set.  For a finite module N + pM is proper exactly when p divides
 radical is rad(N) = N + rM, with r the product of those p; neither needs
 a colon ideal or a point.  In particular [M : fM] is the product of the
 gcd(f, e_i), so the basic open D(fM) is the set of fibers (p) with p not
-dividing f, read off the scalar with no submodule built.  The classified spectrum is lazy: its fibers
-are the relevant primes, and a fiber's points are built on first use.
-Until then its size is the closed-form count of proper subspaces of
-F_p^s, a sum of Gaussian binomials; a built fiber is checked against it,
-and a walk over all points refuses a count past the spectrum's
-cardinality cap before it builds one.
-Each point's HNF is read off the reduced-row-echelon basis of its
-subspace, with no lattice reduction.
+dividing f, read off the scalar with no submodule built.
+The classified spectrum is lazy: its fibers are the relevant primes, and
+a fiber's points are built on first use and kept on the module object,
+shared by every spectrum of that object.  Until then its size is the
+closed-form count of proper subspaces of F_p^s, a sum of Gaussian
+binomials; a built fiber is checked against it, and a walk over all
+points refuses a count past the spectrum's cardinality cap before it
+builds one.  Each point's HNF is read off the reduced-row-echelon basis
+of its subspace, with no lattice reduction.
 """
 
 from __future__ import annotations
@@ -83,24 +84,28 @@ def _check_prime(char_ideal: Ideal) -> None:
 
 
 class Spectrum:
-    """Spec(M) grouped into fibers over the relevant primes.
-
-    ``fibers`` pairs each fiber prime with its points, or with None for a
-    fiber of the classified strategy that is built on first use and then
-    kept on this object.  A walk over all points, ``primes()`` or
-    ``fibers``, first refuses a spectrum whose closed-form count passes
-    ``card_cap``, before any point is built; ``fiber(p)`` alone builds one
-    fiber under no cap.  Equality and hashing use the module and the fiber
-    primes, which determine the points.
+    """Spec(M) by fibers over the relevant primes: a view of M and
+    ``card_cap``.  ``fiber(p)`` reads fiber (p) from the store on the
+    module object, where its first use builds it, checked against the
+    closed-form count; a brute-force spectrum keeps the points it is
+    given, checked the same way, out of the store.  ``primes()`` and
+    ``fibers`` walk all points and refuse a closed-form count past
+    ``card_cap`` before they build one; ``fiber(p)`` builds under no cap.
+    Equality and hashing use the module and its fiber primes.
     """
 
-    def __init__(self, module: FgModule, fibers, card_cap: int) -> None:
+    def __init__(self, module: FgModule, card_cap: int, points=None) -> None:
         self.module = module
         self.card_cap = card_cap
-        self._fibers: dict[int, tuple[PrimeSubmodule, ...] | None] = {}
-        for p, chunk in sorted(fibers, key=lambda pc: pc[0]):
-            self._fibers[p] = None if chunk is None else self._checked(p, chunk)
-        self.fiber_primes = frozenset(self._fibers)
+        self.fiber_primes = frozenset(() if module.is_prufer else module.relevant_primes())
+        if points is not None:
+            chunks = {p: [ps for ps in points if ps.char_prime == p] for p in self.fiber_primes}
+            self._fibers = {p: self._checked(p, chunk) for p, chunk in chunks.items()}
+            return
+        self._fibers = getattr(module, "_fibers", None)
+        if self._fibers is None:
+            self._fibers = {}
+            object.__setattr__(module, "_fibers", self._fibers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
@@ -128,30 +133,27 @@ class Spectrum:
     @property
     def fibers(self) -> tuple[tuple[int, tuple[PrimeSubmodule, ...]], ...]:
         self._refuse_over_cap()
-        return tuple((p, self.fiber(p)) for p in self._fibers)
+        return tuple((p, self.fiber(p)) for p in sorted(self.fiber_primes))
 
     def fiber(self, p: int) -> tuple[PrimeSubmodule, ...]:
-        if p not in self._fibers:
+        if p not in self.fiber_primes:
             return ()
-        chunk = self._fibers[p]
+        chunk = self._fibers.get(p)
         if chunk is None:
             chunk = self._fibers[p] = self._checked(p, _fiber_classified(self.module, p))
         return chunk
 
     def primes(self) -> Iterator[PrimeSubmodule]:
         self._refuse_over_cap()
-        for p in self._fibers:
+        for p in sorted(self.fiber_primes):
             yield from self.fiber(p)
 
     def __len__(self) -> int:
-        return sum(
-            _fiber_size(self.module, p) if chunk is None else len(chunk)
-            for p, chunk in self._fibers.items()
-        )
+        return sum(_fiber_size(self.module, p) for p in self.fiber_primes)
 
     @property
     def is_empty(self) -> bool:
-        return not self._fibers
+        return not self.fiber_primes
 
     def open_set(self, primes) -> OpenSet:
         return OpenSet(self, frozenset(primes))
@@ -386,17 +388,18 @@ def spec_enumerate(
 
     The spectrum keeps ``card_cap``: a walk over all its points refuses
     more points than the cap, counted in closed form (see ``Spectrum``).
-    The classified spectrum is lazy and builds no point here.  The brute
+    The classified spectrum is lazy and builds no point here; every
+    spectrum of one module object shares the fibers built on it.  The brute
     force walks every subgroup, so "bruteforce" and "both" first refuse,
     in this order, |M| past ``subgroup_cap`` (the enumeration cap), |M|
     past ``card_cap`` (the cardinality cap), and then the points."""
     if module.is_prufer:
-        return Spectrum(module, (), card_cap)
+        return Spectrum(module, card_cap)
     if not module.is_finite:
         raise UnsupportedModuleError("spectrum enumeration needs a finite module")
     if strategy not in ("bruteforce", "classified", "both"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    spectrum = Spectrum(module, ((p, None) for p in module.relevant_primes()), card_cap)
+    spectrum = Spectrum(module, card_cap)
     if strategy == "classified":
         return spectrum
 
@@ -405,10 +408,7 @@ def spec_enumerate(
     spectrum._refuse_over_cap()
     brute = _enumerate_bruteforce(module, subgroup_cap, card_cap)
     if strategy == "bruteforce":
-        by_fiber: dict[int, list[PrimeSubmodule]] = {}
-        for ps in brute:
-            by_fiber.setdefault(ps.char_prime, []).append(ps)
-        return Spectrum(module, by_fiber.items(), card_cap)
+        return Spectrum(module, card_cap, brute)
     brute_set = {(ps.char_prime, ps.sub) for ps in brute}
     classified_set = {(ps.char_prime, ps.sub) for ps in spectrum.primes()}
     if classified_set != brute_set:
@@ -424,11 +424,11 @@ def spec_enumerate(
 # ---------------------------------------------------------------------------
 
 def variety(sub: Submodule) -> ClosedSet:
-    """V(N): the fibers (p) of ``spec_enumerate(M)`` with p | [M : N], M
-    the parent of N.
-
-    A (p)-prime contains N exactly when N + pM is proper, that is when p
-    divides the order of M/N.
+    """V(N) = {P : (P:M) contains (N:M)}, M the parent of N: the whole
+    fibers (p) of ``spec_enumerate(M)`` with p | [M : N], since some
+    (p)-prime contains N exactly when N + pM is proper.  Not every point
+    of V(N) contains N: on (Z/2)^2 with N = <(1, 0)>, V(N) has all four
+    points, and one of them contains N.
     """
     spectrum = spec_enumerate(sub.parent)
     index = sub.index()

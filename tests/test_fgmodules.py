@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -6,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modspec import arith
+from modspec import arith, spectrum
 from modspec.arith import ZZ, Zmod, ideal
 from modspec.fgmodules import (
     CapExceededError,
@@ -401,11 +403,33 @@ def test_primary_of_the_zero_free_and_pruefer_modules():
         prufer_module(3).primary
 
 
-def test_a_module_pickles_after_its_primary_parts_are_read():
+def test_a_module_pickles_after_its_primary_parts_are_read(monkeypatch):
     m = from_cyclic_orders(Zmod(24), [2, 12])
     assert m.primary
-    copy = pickle.loads(pickle.dumps(m))
-    assert copy == m and dict(copy.primary) == dict(m.primary)
+    twin = pickle.loads(pickle.dumps(m))
+    assert twin == m and dict(twin.primary) == dict(m.primary)
+    # the fibers built on a module stay with that object: a pickled or
+    # copied module carries its fields alone and builds its own fibers
+    real = spectrum._fiber_classified
+    built = []
+
+    def counting(module, p):
+        built.append(module)
+        return real(module, p)
+
+    monkeypatch.setattr(spectrum, "_fiber_classified", counting)
+    spec_enumerate.cache_clear()
+    try:
+        fibers = spec_enumerate(m).fibers
+        assert built == [m, m]
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m)):
+            assert set(vars(twin)) == {f.name for f in dataclasses.fields(FgModule)}
+            spec_enumerate.cache_clear()
+            built.clear()
+            assert spec_enumerate(twin).fibers == fibers
+            assert len(built) == 2 and all(module is twin for module in built)
+    finally:
+        spec_enumerate.cache_clear()
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(120)], ids=str)

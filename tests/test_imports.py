@@ -92,6 +92,57 @@ def test_no_module_beside_its_operand(path):
     assert module_beside_operand(path.read_text(encoding="utf-8")) == []
 
 
+# fibers live as long as their module object, so a module made at import
+# would keep them past every cache_clear and warm a cold query
+MODULE_MAKERS = {
+    "FgModule", "from_cyclic_orders", "normalize", "prufer_module", "zero_module",
+    "direct_sum", "direct_sum_with_embeddings",
+}
+
+
+def import_time_modules(source: str) -> list[str]:
+    """``line name`` of each call to a module maker that runs on import: in
+    a module-level statement, a class body, a decorator or a default, but
+    not in a function body."""
+    out = []
+
+    def visit(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in MODULE_MAKERS:
+                out.append(f"{node.lineno} {name}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+            run = [*getattr(node, "decorator_list", ()), *defaults]
+        else:
+            run = ast.iter_child_nodes(node)
+        for child in run:
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+def test_checker_sees_a_module_made_on_import():
+    source = (
+        "Z6 = FgModule(ZZ, (6,))\n"
+        "def make(m=fgmodules.zero_module(ZZ)):\n    return FgModule(ZZ, (2,))\n"
+        "class A:\n    CORPUS = [normalize(ZZ, 1, [])]\n\n"
+        "    def pair(self, a, b):\n        return direct_sum(a, b)\n"
+        "if True:\n    TABLE = {2: prufer_module(2)}\n"
+        "EMPTY = lambda: zero_module(ZZ)\n"
+    )
+    assert import_time_modules(source) == [
+        "1 FgModule", "2 zero_module", "5 normalize", "10 prufer_module"
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=[p.name for p in PACKAGE_FILES])
+def test_no_module_is_made_on_import(path):
+    assert import_time_modules(path.read_text(encoding="utf-8")) == []
+
+
 def unreferenced_functions(defining: dict[str, str], referencing: list[str]) -> list[str]:
     """``label:line name`` of each function or method defined in the
     ``defining`` sources whose name no ``referencing`` source mentions."""

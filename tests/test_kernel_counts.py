@@ -413,3 +413,29 @@ def test_no_default_query_runs_an_oracle(monkeypatch, tmp_path, capsys):
             clear_caches()
     capsys.readouterr()
     assert counts == dict.fromkeys(ORACLES, 0) and oracle_radicals == []
+
+
+# ---------------------------------------------------------------------------
+# fibers live on the module object a query loads, so a cold query stays cold
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fiber_builds(monkeypatch):
+    return count_calls(monkeypatch, {"_fiber_classified": spectrum._fiber_classified})
+
+
+@pytest.mark.parametrize(
+    "options, argv",
+    [
+        ([], ["spec"]),
+        ([], ["verify", "--suite", "3.1"]),
+        (["--strategy", "both"], ["radical", "--submodule", "0,0,0"]),
+    ],
+    ids=["spec", "verify-3.1", "both-radical"],
+)
+def test_a_repeated_cold_query_builds_its_fibers_again(
+    fiber_builds, tmp_path, capsys, options, argv
+):
+    first, _ = cold_query(tmp_path, capsys, fiber_builds, (2, 6, 6), argv, options)
+    second, _ = cold_query(tmp_path, capsys, fiber_builds, (2, 6, 6), argv, options)
+    assert first == second == {"_fiber_classified": 2}

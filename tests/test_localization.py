@@ -1,7 +1,9 @@
 import pytest
 
+from modspec import verify
 from modspec.arith import ZZ, Ring, Zmod, ideal
 from modspec.fgmodules import (
+    FgModule,
     UnsupportedModuleError,
     from_cyclic_orders,
     iso_class_equal,
@@ -10,6 +12,8 @@ from modspec.fgmodules import (
     zero_module,
 )
 from modspec.localization import (
+    CorrespondenceError,
+    LocalizedModule,
     MultSet,
     invariant_factors_from_orders,
     localize,
@@ -18,6 +22,7 @@ from modspec.localization import (
     relocalize,
     verify_localization_transfer,
 )
+from modspec.spectrum import spec_enumerate
 
 POWERS = [MultSet.powers_of(f) for f in range(0, 8)]
 
@@ -200,6 +205,56 @@ def test_correspondence_verifies_on_corpus(module):
             if not ms.meets_prime(ps.char_prime, module.ring)
         )
         assert len(corr.pairs) == expected
+
+
+
+# three broken correspondences on Z/2 + Z/2 over Z, each caught by its own
+# check; S is the complement of (2), so M_S has the same four points as M
+KLEIN = (2, 2)
+REAL_EXTEND = LocalizedModule.extend_submodule
+REAL_CONTRACT = LocalizedModule.contract_submodule
+
+
+def swap_zero_and_first_line(loc, sub):
+    """sigma on Spec(M_S): the zero submodule and the first line trade
+    places, and every other submodule stays."""
+    zero = loc.module.zero_submodule()
+    line = spec_enumerate(loc.module).fiber(2)[0].sub
+    return {zero: line, line: zero}.get(sub, sub)
+
+
+@pytest.mark.parametrize(
+    "extend, contract, text",
+    [
+        (
+            lambda loc, sub: loc.module.full_submodule(),
+            REAL_CONTRACT,
+            "extension of <[1, 0], [0, 2]> is not a prime of the localization of Z/2 + Z/2 over Z",
+        ),
+        (
+            REAL_EXTEND,
+            lambda loc, sub: loc.source.full_submodule(),
+            "round trip P -> P_S -> (P_S)^c moved <[1, 0], [0, 2]> in Z/2 + Z/2 over Z",
+        ),
+        (
+            # a bijection whose round trips and colon ideals all hold: only
+            # the order check sees that sigma sends the zero point below a line
+            lambda loc, sub: swap_zero_and_first_line(loc, REAL_EXTEND(loc, sub)),
+            lambda loc, sub: REAL_CONTRACT(loc, swap_zero_and_first_line(loc, sub)),
+            "order not preserved between <[1, 0], [0, 2]> and <[1, 1], [0, 2]> "
+            "in Z/2 + Z/2 over Z",
+        ),
+    ],
+    ids=["extension-not-a-prime", "round-trip-moves", "order-reversed"],
+)
+def test_a_broken_correspondence_fails_criterion_9(monkeypatch, extend, contract, text):
+    monkeypatch.setattr(LocalizedModule, "extend_submodule", extend)
+    monkeypatch.setattr(LocalizedModule, "contract_submodule", contract)
+    with pytest.raises(CorrespondenceError) as exc:
+        prime_correspondence(FgModule(ZZ, KLEIN), MultSet.complement_of_prime(2))
+    assert str(exc.value) == text
+    result = verify.check_prime_correspondence([FgModule(ZZ, KLEIN)])
+    assert result.checks == 5 and result.failures == (text,) * 3
 
 
 def test_relocalize_naturality():

@@ -1,13 +1,16 @@
 import itertools
+import json
 import math
 
 import pytest
 
 from modspec import arith, sheaf
 from modspec.arith import ZZ, Zmod, ideal
+from modspec.cli import main
 from modspec.corpus import finite_corpus
 from modspec.fgmodules import (
-    DEFAULT_CARDINALITY_CAP,
+    CapExceededError,
+    FgModule,
     UnsupportedModuleError,
     direct_sum,
     from_cyclic_orders,
@@ -121,6 +124,27 @@ def test_stalk_examples():
     for ps in spec_enumerate(klein).primes():
         res = stalk(ps)
         assert res.bijective and res.localized.factors == (2, 2)
+
+
+def test_a_stalk_past_the_cardinality_cap_is_refused(tmp_path, capsys):
+    # Spec(Z/8192) has one point, 2M, and its stalk has all 8192 sections
+    text = "8192 sections exceed the cardinality cap 4096"
+    (prime,) = spec_enumerate(FgModule(ZZ, (8192,))).primes()
+    with pytest.raises(CapExceededError) as exc:
+        stalk(prime)
+    assert str(exc.value) == text
+    path = tmp_path / "m.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ring": {"kind": "Z"},
+                "module": {"kind": "invariant_factors", "factors": [8192], "free_rank": 0},
+            }
+        )
+    )
+    assert main(["--quiet", "verify", str(path), "--suite", "3.1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error" and report["result"] == {"error": text}
 
 
 def test_germ_equality_matches_definition():
@@ -329,11 +353,7 @@ def test_sheaf_axioms_zero_module():
 # the coded sheaf-axiom check against the Section-level reference
 # ---------------------------------------------------------------------------
 
-def sheaf_axioms_reference(
-    module,
-    cap=DEFAULT_CARDINALITY_CAP,
-    family_limit=50_000,
-):
+def sheaf_axioms_reference(module, family_limit=50_000):
     """Reference check: every axiom on Section objects, compatible families
     enumerated over the whole product of the members' sections."""
     if not module.is_finite:
@@ -349,7 +369,7 @@ def sheaf_axioms_reference(
         for combo in itertools.combinations(primes, k):
             opens.append(spectrum.open_set(combo))
     spaces = {o.fiber_primes: sections(o) for o in opens}
-    section_lists = {o.fiber_primes: list(spaces[o.fiber_primes].elements(cap)) for o in opens}
+    section_lists = {o.fiber_primes: list(spaces[o.fiber_primes].elements()) for o in opens}
 
     def restrictor(src_primes, dst_primes):
         src, dst = spaces[src_primes], spaces[dst_primes]

@@ -46,6 +46,7 @@ from modspec.spectrum import (
     spec_enumerate,
     variety,
 )
+from test_kernel_counts import clear_caches
 
 SMALL_CORPUS = [
     from_cyclic_orders(ZZ, o)
@@ -377,12 +378,15 @@ def test_closed_form_count_matches_bruteforce_on_the_corpus():
 # fibers are built only when asked for
 # ---------------------------------------------------------------------------
 
-TWO_FIBERS = FgModule(ZZ, (6, 12, 36))
+# the factors, not a module: fibers are kept on the module object, so each
+# test that counts builds makes its own
+TWO_FIBERS = (6, 12, 36)
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """The (module, p) of every fiber built, from a cold spectrum cache."""
+    """The (module, p) of every fiber built, from cold caches: the cached
+    localizations hold module objects, and so the fibers built on them."""
     calls = []
     real = spectrum_module._fiber_classified
 
@@ -391,13 +395,13 @@ def built(monkeypatch):
         return real(module, p)
 
     monkeypatch.setattr(spectrum_module, "_fiber_classified", counting)
-    spec_enumerate.cache_clear()
+    clear_caches()
     yield calls
-    spec_enumerate.cache_clear()
+    clear_caches()
 
 
 def test_opens_sections_psi_and_covers_build_no_fiber(built):
-    m = TWO_FIBERS
+    m = FgModule(ZZ, TWO_FIBERS)
     spec = spec_enumerate(m)
     assert spec.fiber_primes == {2, 3}
     assert len(spec) == 15 + 27  # proper subspaces of F_2^3 and of F_3^3
@@ -410,16 +414,15 @@ def test_opens_sections_psi_and_covers_build_no_fiber(built):
 
 
 def test_stalk_builds_only_its_fiber(built):
-    m = TWO_FIBERS
+    m = FgModule(ZZ, TWO_FIBERS)
     prime = spec_enumerate(m).fiber(3)[0]
     spec_enumerate.cache_clear()
-    built.clear()
     assert stalk(prime).bijective
     assert built == [(m, 3)]
 
 
-def test_a_built_fiber_is_kept_until_the_cache_is_cleared(built):
-    m = TWO_FIBERS
+def test_a_built_fiber_is_kept_on_its_module_object(built):
+    m = FgModule(ZZ, TWO_FIBERS)
     spec = spec_enumerate(m)
     points = sum(len(chunk) for _, chunk in spec.fibers)
     assert points == len(spec)
@@ -430,15 +433,56 @@ def test_a_built_fiber_is_kept_until_the_cache_is_cleared(built):
     assert fresh is not spec and fresh == spec
     assert len(fresh) == points and built == [(m, 2), (m, 3)]
     fresh.fiber(3)
-    assert built == [(m, 2), (m, 3), (m, 3)]
+    assert built == [(m, 2), (m, 3)]
 
 
 def test_a_fiber_of_the_wrong_size_is_refused(built, monkeypatch):
     real = spectrum_module._fiber_classified
     monkeypatch.setattr(spectrum_module, "_fiber_classified", lambda m, p: real(m, p)[1:])
-    spec = spec_enumerate(TWO_FIBERS)
+    spec = spec_enumerate(FgModule(ZZ, TWO_FIBERS))
     with pytest.raises(StrategyMismatchError, match="closed-form count is 15"):
         spec.fiber(2)
+
+
+def test_a_fiber_of_the_right_size_with_the_wrong_points_is_refused(tmp_path, capsys, monkeypatch):
+    # the planted fiber repeats its first point in place of its last.  Each
+    # case takes a new module object: a failed "both" leaves the fiber it
+    # built on its module
+    real = spectrum_module._fiber_classified
+
+    def repeat_first_point(module, p):
+        points = real(module, p)
+        return points[:-1] + points[:1]
+
+    monkeypatch.setattr(spectrum_module, "_fiber_classified", repeat_first_point)
+    spec_enumerate.cache_clear()
+    text = "spectrum strategies disagree on Z/2 + Z/2 over Z: classified=3 bruteforce=4"
+    with pytest.raises(StrategyMismatchError) as exc:
+        spec_enumerate(FgModule(ZZ, (2, 2)), "both")
+    assert str(exc.value) == text
+    # the brute force neither reads nor fills the store of classified fibers
+    brute = spec_enumerate(FgModule(ZZ, (2, 2)), "bruteforce")
+    assert sorted(ps.sub.basis for ps in brute.fiber(2)) == sorted(
+        ps.sub.basis for ps in real(FgModule(ZZ, (2, 2)), 2)
+    )
+    assert main(["--quiet", "spec", write_module(tmp_path, (2, 2))]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "violation" and report["result"] == {"violation": text}
+    spec_enumerate.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "factors, builds",
+    [((2, 6), 4), ((2, 2, 2, 2), 1), ((2, 2, 6), 4), ((3, 3, 3), 1)],
+    ids=str,
+)
+def test_every_spectrum_of_one_module_object_shares_its_fibers(built, factors, builds):
+    # the other builds are of the modules that criteria 9 and 10 make: a
+    # localization and a direct summand
+    m = FgModule(ZZ, factors)
+    assert not any(r.failures for r in verify.run_suite("all", [m]))
+    assert len(built) == builds
+    assert sorted(p for module, p in built if module is m) == sorted(m.relevant_primes())
 
 
 def write_module(tmp_path, factors):
@@ -455,7 +499,7 @@ def write_module(tmp_path, factors):
 
 
 def test_cli_sheaf_and_cover_build_no_fiber(built, tmp_path, capsys):
-    path = write_module(tmp_path, TWO_FIBERS.factors)
+    path = write_module(tmp_path, TWO_FIBERS)
     assert main(["--quiet", "sheaf", path, "--open", "D(2)"]) == 0
     assert main(["--quiet", "cover", path, "--f", "1", "--hs", "4,9"]) == 0
     capsys.readouterr()
@@ -583,7 +627,7 @@ def test_the_points_cap_bounds_the_walks_and_not_one_fiber(built):
     with pytest.raises(CapExceededError):
         list(refused.primes())
     answered = spec_enumerate(m, card_cap=15)
-    assert len(answered.fiber(2)) == 15 and built == [(m, 2), (m, 2)]
+    assert len(answered.fiber(2)) == 15 and built == [(m, 2)]
     assert len(list(answered.primes())) == 15 and [p for p, _ in answered.fibers] == [2]
     assert prime_radical(zero, "bruteforce", card_cap=15) == prime_radical(zero)
     assert natural_map(answered).surjective
