@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 
-DEFAULT_FACTOR_BOUND = 10**7
+FACTOR_BOUND = 10**7
 
 
 class FactorBoundExceeded(ValueError):
-    """Trial division ran past the configured bound without finishing."""
+    """Trial division up to FACTOR_BOUND left a composite cofactor."""
 
 
 class RingMismatchError(ValueError):
@@ -27,51 +27,29 @@ class NotInRadicalError(ValueError):
     """A Bezout decomposition was requested for f outside the radical."""
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n|, n != 0, as a dict in ascending prime order.
 
-    Which inputs are answered is the trial-division rule: let d* be the
-    first trial divisor past ``bound`` (2, or the first odd number above
-    ``bound``) and R the part of |n| made of primes >= d*.  n is answered
-    iff R < d*^2; otherwise :class:`FactorBoundExceeded` is raised with the
-    text ``trial division bound {bound} exceeded while factoring {R}``,
-    which the benchmark (``perfbench/run.py``, ``LIMIT_REFUSAL``) matches
-    to count a query as refused.
-
-    How the answer is found is separate from that rule.  Trial division
-    runs up to min(bound, 2^10).  A larger cofactor below ``_PSI13`` is
-    split by Pollard-Brent into primes certified by deterministic
-    Miller-Rabin, and the rule is applied to those primes.  A cofactor at
-    or above ``_PSI13``, or one Pollard-Brent fails to split within its
-    step budget, goes on by trial division up to ``bound``.  Every answer
-    is exact: no input is decided by a probabilistic test.
+    Past the primes below 2^10, a cofactor below ``_PSI13`` is split by
+    Pollard-Brent, within a budget of a multiple of isqrt(FACTOR_BOUND)
+    steps, into primes certified by deterministic Miller-Rabin.  Any other
+    cofactor goes on by trial division up to FACTOR_BOUND.  If that leaves
+    a composite R, :class:`FactorBoundExceeded` is raised with the text
+    ``trial division bound {FACTOR_BOUND} exceeded while factoring {R}``,
+    which ``LIMIT_REFUSAL`` in ``perfbench/run.py`` matches as a refusal.
     """
     n = abs(int(n))
     if n == 0:
         raise ValueError("0 has no prime factorization")
     factors: dict[int, int] = {}
-    n, d = _trial_divide(n, 2, bound if bound < _TRIAL_LIMIT else _TRIAL_LIMIT, factors)
-    if d * d <= n:
-        if d <= bound and n < _PSI13:
-            primes = _split_into_primes(n, _RHO_STEPS_PER_ROOT * math.isqrt(bound))
-            if primes is not None:
-                # no prime lies strictly between bound and d*
-                d_star = _first_divisor_past(bound)
-                large = math.prod(p for p in primes if p > bound)
-                if large >= d_star * d_star:
-                    raise FactorBoundExceeded(
-                        f"trial division bound {bound} exceeded while factoring {large}"
-                    )
-                for p in sorted(primes):
-                    factors[p] = factors.get(p, 0) + 1
-                return factors
-        n, d = _trial_divide(n, d, bound, factors)
-        if d * d <= n:
-            raise FactorBoundExceeded(
-                f"trial division bound {bound} exceeded while factoring {n}"
-            )
-    if n > 1:
-        factors[n] = 1
+    n = _divide_out_small_primes(n, factors)
+    primes = _split_into_primes(n) if _TRIAL_LIMIT**2 <= n < _PSI13 else None
+    if primes is None:
+        # 1, a prime below 2^20, or a cofactor Pollard-Brent may not split
+        n = _divide_out_odd_numbers(n, factors)
+        primes = [n] if n > 1 else []
+    for p in sorted(primes):
+        factors[p] = factors.get(p, 0) + 1
     return factors
 
 
@@ -109,41 +87,43 @@ _MR_PSI = (
 _PSI13 = _MR_PSI[-1]
 
 # Pollard-Brent finds a prime factor p after about sqrt(p) steps, so a
-# budget of a multiple of isqrt(bound) splits off any factor <= bound with
-# near certainty, and costs little next to the trial division up to bound
-# that follows when it fails.
+# budget of a multiple of isqrt(FACTOR_BOUND) splits off any factor up to
+# FACTOR_BOUND with near certainty, and costs little next to the trial
+# division up to FACTOR_BOUND that follows when it fails.
 _RHO_STEPS_PER_ROOT = 16
 _RHO_BATCH = 128
 
 
-def _trial_divide(n: int, d: int, stop: int, factors: dict[int, int]) -> tuple[int, int]:
-    """Divide out of n the trial divisors from d (2, then odd) up to stop,
-    while their square is at most the cofactor.  Records the primes found
-    in ``factors``; returns the cofactor and the first divisor not tried.
+def _divide_out_small_primes(n: int, factors: dict[int, int]) -> int:
+    """Divide the primes below 2^10 out of n into ``factors`` and return
+    the cofactor: where the loop stops at the square root, 1 or a prime.
+    For n >= 2^10 one gcd with ``_SMALL_PRIMORIAL`` shows which divide n."""
+    # g keeps the small primes not yet divided out; below 2^10 the few
+    # primes up to sqrt(n) cost less than the gcd
+    g = n if n < _TRIAL_LIMIT else math.gcd(n, _SMALL_PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if p * p > n or g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            factors[p] = k
+    return n
 
-    From d = 2 the divisors below 2^10 are read off ``_SMALL_PRIMES``:
-    for n >= 2^10 one gcd with ``_SMALL_PRIMORIAL`` shows which of them
-    divide n, and only those are divided out.  The divisor returned is the
-    first past min(stop, 2^10).  Where the loop would have stopped sooner,
-    at the square root, the cofactor left is 1 or a prime below the square
-    of that divisor, so the caller decides on it as it would after the
-    loop."""
-    if d == 2:
-        d = _TRIAL_LIMIT + 1 if stop >= _TRIAL_LIMIT else _first_divisor_past(stop)
-        # g keeps the small primes not yet divided out; below 2^10 the few
-        # primes up to sqrt(n) cost less than the gcd
-        g = n if n < _TRIAL_LIMIT else math.gcd(n, _SMALL_PRIMORIAL)
-        for p in _SMALL_PRIMES:
-            if p * p > n or g == 1 or p >= d:
-                break
-            if g % p == 0:
-                g //= p
-                k = 0
-                while n % p == 0:
-                    n //= p
-                    k += 1
-                factors[p] = k
-    while d * d <= n and d <= stop:
+
+def _divide_out_odd_numbers(n: int, factors: dict[int, int]) -> int:
+    """Divide the odd numbers from 2^10 + 1 up to FACTOR_BOUND out of n,
+    which has no prime factor below 2^10, into ``factors``.  Returns the
+    cofactor, 1 or a prime, and refuses a composite one."""
+    d = _TRIAL_LIMIT + 1
+    while d * d <= n:
+        if d > FACTOR_BOUND:
+            raise FactorBoundExceeded(
+                f"trial division bound {FACTOR_BOUND} exceeded while factoring {n}"
+            )
         if n % d == 0:
             k = 0
             while n % d == 0:
@@ -151,12 +131,7 @@ def _trial_divide(n: int, d: int, stop: int, factors: dict[int, int]) -> tuple[i
                 k += 1
             factors[d] = k
         d += 2
-    return n, d
-
-
-def _first_divisor_past(x: int) -> int:
-    """The first trial divisor (2, then odd) above x."""
-    return 2 if x < 2 else x + 1 + x % 2
+    return n
 
 
 def _is_prime_mr(n: int) -> bool:
@@ -213,10 +188,11 @@ def _pollard_brent(n: int, budget: int) -> int | None:
     return None
 
 
-def _split_into_primes(n: int, budget: int) -> list[int] | None:
+def _split_into_primes(n: int) -> list[int] | None:
     """The prime factors of n with multiplicity, each certified by
     :func:`_is_prime_mr`, or None when Pollard-Brent runs out of budget.
     n must be below _PSI13 with no prime factor below _TRIAL_LIMIT."""
+    budget = _RHO_STEPS_PER_ROOT * math.isqrt(FACTOR_BOUND)
     primes = []
     todo = [n]
     while todo:

@@ -508,24 +508,11 @@ def direct_sum(m1: FgModule, m2: FgModule) -> FgModule:
     return direct_sum_with_embeddings(m1, m2)[0]
 
 
-def iso_class_equal(m1, m2) -> bool:
-    """Isomorphism of the underlying modules over the common base ring.
-
-    Invariant factors, free rank and the special kind are a complete
-    isomorphism invariant for the representable classes.  Accepts FgModule
-    and LocalizedModule values (the latter compare their invariant data as
-    modules over the original base ring).
-    """
-    return _iso_invariants(m1) == _iso_invariants(m2)
-
-
-def _iso_invariants(m) -> tuple:
-    if isinstance(m, FgModule):
-        return (m.ring, m.prufer_prime, m.factors, m.free_rank)
-    inv = getattr(m, "iso_invariants", None)
-    if inv is None:
-        raise TypeError(f"cannot compare {type(m).__name__}")
-    return inv
+def iso_class_equal(m1: FgModule, m2: FgModule) -> bool:
+    """Isomorphism of modules over the common base ring.  Invariant
+    factors, free rank and the Pruefer prime are a complete invariant of
+    the representable classes, and a module stores exactly them."""
+    return m1 == m2
 
 
 # ---------------------------------------------------------------------------

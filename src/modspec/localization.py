@@ -174,16 +174,6 @@ class LocalizedModule:
         return "zero" if self.module.is_zero else "standard"
 
     @property
-    def iso_invariants(self) -> tuple:
-        # comparison as modules over the original base ring
-        return (
-            self.source.ring,
-            self.module.prufer_prime,
-            self.module.factors,
-            self.module.free_rank,
-        )
-
-    @property
     def cardinality(self) -> int | None:
         return self.module.cardinality
 

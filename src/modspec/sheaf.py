@@ -37,11 +37,11 @@ from .arith import (
 )
 from .fgmodules import (
     DEFAULT_CARDINALITY_CAP,
-    CapExceededError,
     FgModule,
     ModElement,
     UnsupportedModuleError,
     iso_class_equal,
+    refuse_over_cap,
     scalar_colon,
 )
 from .localization import LocalizedModule, MultSet, localize
@@ -114,10 +114,7 @@ class SectionSpace:
         card = self.cardinality
         if card is None:
             raise UnsupportedModuleError("section space over an infinite stalk")
-        if card > DEFAULT_CARDINALITY_CAP:
-            raise CapExceededError(
-                f"{card} sections exceed the cardinality cap {DEFAULT_CARDINALITY_CAP}"
-            )
+        refuse_over_cap("|O(U)|", card, "cardinality", DEFAULT_CARDINALITY_CAP)
         pools = [list(loc.module.elements()) for _, loc in self.stalks]
         for combo in itertools.product(*pools):
             yield Section(self, tuple(combo))
@@ -426,7 +423,7 @@ class IsoCriterionResult:
 
     @property
     def modules_isomorphic(self) -> bool:
-        return iso_class_equal(self.loc_f, self.loc_g)
+        return iso_class_equal(self.loc_f.module, self.loc_g.module)
 
 
 def _colon_radical(module: FgModule, f: int) -> Ideal:

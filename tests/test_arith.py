@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import re
 
 import pytest
 import sympy
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from modspec import arith
 from modspec.arith import (
-    DEFAULT_FACTOR_BOUND,
+    FACTOR_BOUND,
     FactorBoundExceeded,
     NotInRadicalError,
     Ring,
@@ -70,22 +72,33 @@ def test_factorize_small():
         factorize(0)
 
 
+@contextlib.contextmanager
+def factor_bound(bound):
+    """``arith.FACTOR_BOUND`` set to ``bound`` for the duration."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "FACTOR_BOUND", bound)
+        yield
+
+
 def test_factorize_bound_rejects():
-    # second-largest prime factor above the bound cannot be certified
+    # at bound 1000 Pollard-Brent runs out of budget on p^2, and trial
+    # division stops short of p
     p = 1_000_003
-    with pytest.raises(FactorBoundExceeded):
-        factorize(p * p * 3, bound=1000)
-    # a single large prime cofactor is still certified by trial division
-    assert factorize(2 * p, bound=2000) == {2: 1, p: 1}
+    with factor_bound(1000):
+        with pytest.raises(FactorBoundExceeded):
+            factorize(p * p * 3)
+        # a single large prime cofactor is still certified
+        assert factorize(2 * p) == {2: 1, p: 1}
+    assert factorize(p * p * 3) == {3: 1, p: 2}
 
 
 # ---------------------------------------------------------------------------
 # factorize against the trial-division loop it replaced
 # ---------------------------------------------------------------------------
 
-def factorize_by_trial_division(n, bound=DEFAULT_FACTOR_BOUND):
-    """Reference: the trial-division loop that defines which inputs
-    factorize answers and what it says when it refuses."""
+def factorize_by_trial_division(n, bound=FACTOR_BOUND):
+    """Reference: the trial-division loop that once defined what factorize
+    answers.  factorize keeps each of its answers and its refusal text."""
     n = abs(int(n))
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -105,19 +118,37 @@ def factorize_by_trial_division(n, bound=DEFAULT_FACTOR_BOUND):
     return factors
 
 
-def outcome(fn, n, bound):
+def outcome(fn, n):
     """The factor items in order, or the refusal text."""
     try:
-        return list(fn(n, bound).items())
+        return list(fn(n).items())
     except FactorBoundExceeded as exc:
         return str(exc)
 
 
-def assert_matches_reference(n, bound=DEFAULT_FACTOR_BOUND):
-    got = outcome(factorize, n, bound)
-    assert got == outcome(factorize_by_trial_division, n, bound)
+def assert_matches_reference(n, bound=FACTOR_BOUND):
+    """factorize at ``bound`` answers as the reference wherever the
+    reference answers, answers nothing but sympy's factorization, and
+    refuses only where the reference does, naming a composite cofactor of
+    n free of the primes that trial division passed.  Returns the outcome."""
+    expected = outcome(lambda m: factorize_by_trial_division(m, bound), n)
+    with factor_bound(bound):
+        got = outcome(factorize, n)
+    if isinstance(expected, list):
+        assert got == expected
     if isinstance(got, list):
         assert dict(got) == sympy.factorint(abs(n))
+        return got
+    assert isinstance(expected, str)
+    match = re.fullmatch(rf"trial division bound {bound} exceeded while factoring (\d+)", got)
+    assert match, got
+    rest = int(match[1])
+    assert n % rest == 0 and not sympy.isprime(rest)
+    assert min(sympy.factorint(rest)) > max(bound, arith._TRIAL_LIMIT)
+    if bound >= arith._TRIAL_LIMIT:
+        # past the small primes both divide out the same ones
+        assert got == expected
+    return got
 
 
 def first_divisor_past(bound):
@@ -130,7 +161,7 @@ PSI_13 = 3_317_044_064_679_887_385_961_981  # strong pseudoprime to bases 2..41
 
 @given(
     st.integers(-10**12, 10**12).filter(bool),
-    st.one_of(st.integers(1, 3000), st.just(DEFAULT_FACTOR_BOUND)),
+    st.one_of(st.integers(1, 3000), st.just(FACTOR_BOUND)),
 )
 @settings(max_examples=300, deadline=None)
 def test_factorize_matches_trial_division(n, bound):
@@ -157,25 +188,25 @@ def test_factorize_matches_trial_division_at_the_bound(bound):
 
 
 @pytest.fixture
-def trial_stops(monkeypatch):
-    """The ``stop`` of every call to the trial-division step."""
-    trial_divide = arith._trial_divide
-    stops = []
+def odd_divisions(monkeypatch):
+    """The cofactor of every call to the odd-number trial division."""
+    divide = arith._divide_out_odd_numbers
+    cofactors = []
 
-    def recorded(n, d, stop, factors):
-        stops.append(stop)
-        return trial_divide(n, d, stop, factors)
+    def recorded(n, factors):
+        cofactors.append(n)
+        return divide(n, factors)
 
-    monkeypatch.setattr(arith, "_trial_divide", recorded)
-    return stops
+    monkeypatch.setattr(arith, "_divide_out_odd_numbers", recorded)
+    return cofactors
 
 
-def test_factorize_matches_trial_division_off_the_fast_path(trial_stops):
+def test_factorize_matches_trial_division_off_the_fast_path(odd_divisions):
     # at bound 3000 Pollard-Brent exhausts its budget on the first two, and
     # PSI_13 is past the range where Miller-Rabin is proven exact
     for n in (5_000_011 * 7_000_003, 6 * PSI_12, PSI_13):
-        assert_matches_reference(n, 3000)
-        assert trial_stops[-1] == 3000
+        assert isinstance(assert_matches_reference(n, 3000), str)
+        assert odd_divisions[-1] == n // math.gcd(n, 6)
     assert_matches_reference(PSI_12, 1000)
 
 
@@ -210,8 +241,8 @@ def test_miller_rabin_needs_the_thirteenth_base():
             assert not arith._is_prime_mr(psi), k
     assert all(is_strong_probable_prime(PSI_13, a) for a in bases)
     assert arith._is_prime_mr(2**61 - 1)
-    with pytest.raises(FactorBoundExceeded):
-        factorize(PSI_12, 1000)
+    with factor_bound(1000), pytest.raises(FactorBoundExceeded):
+        factorize(PSI_12)
 
 
 def test_miller_rabin_agrees_with_sympy_in_every_band():
@@ -239,14 +270,14 @@ def test_miller_rabin_agrees_with_sympy_in_every_band():
             assert arith._is_prime_mr(n) == sympy.isprime(n), n
 
 
-def test_refusals_of_large_primes_skip_trial_division(trial_stops):
-    # the shape of the refused queries-deep pradical queries, and a Mersenne prime
-    for n in (30 * 10_000_019 * 19_999_999, 2**61 - 1):
-        with pytest.raises(FactorBoundExceeded) as exc:
-            factorize(n)
-        assert trial_stops and max(trial_stops) <= 2**10
-        assert outcome(factorize_by_trial_division, n, DEFAULT_FACTOR_BOUND) == str(exc.value)
-        trial_stops.clear()
+def test_large_primes_are_answered_without_odd_trial_division(odd_divisions):
+    # the shape of the queries-deep pradical queries on two primes past
+    # 10^7, and a Mersenne prime: Pollard-Brent and Miller-Rabin answer both
+    assert factorize(30 * 10_000_019 * 19_999_999) == {
+        2: 1, 3: 1, 5: 1, 10_000_019: 1, 19_999_999: 1,
+    }
+    assert factorize(2**61 - 1) == {2**61 - 1: 1}
+    assert odd_divisions == []
 
 
 def test_small_prime_table():
@@ -264,12 +295,14 @@ DEEP_SHAPED = [
 ]
 
 
-@pytest.mark.parametrize("bound", (DEFAULT_FACTOR_BOUND, 2, 3, 10, 1023, 1024, 1025))
+@pytest.mark.parametrize("bound", (FACTOR_BOUND, 2, 3, 10, 1023, 1024, 1025))
 def test_factorize_matches_trial_division_on_a_sweep(bound):
     # every n below 2^14, where the square-root stop and the bound meet the
-    # small-prime table, then numbers shaped like the benchmark's
-    for n in range(1, 1 << 14):
-        assert outcome(factorize, n, bound) == outcome(factorize_by_trial_division, n, bound), n
+    # small-prime table, then numbers shaped like the benchmark's; below
+    # 2^20 every n is answered, as trial division to 2^7 answers n < 2^14
+    with factor_bound(bound):
+        for n in range(1, 1 << 14):
+            assert outcome(factorize, n) == outcome(factorize_by_trial_division, n), n
     for n in DEEP_SHAPED:
         assert_matches_reference(n, bound)
 

@@ -741,6 +741,51 @@ def test_psi_default_cardinality_cap_refuses(factors):
     assert_refused(code, report, f"|M| = {card} exceeds the cardinality cap 4096")
 
 
+P, Q = 10_000_019, 10_000_079
+
+
+def localized(base_ring, factors):
+    return {
+        "base_ring": base_ring,
+        "cardinality": math.prod(factors),
+        "factors": factors,
+        "free_rank": 0,
+        "kind": "standard" if factors else "zero",
+    }
+
+
+@pytest.mark.parametrize(
+    "factors, argv, result",
+    [
+        ([6 * P * Q], ["pradical"], {"pradical": True, "certificate": None}),
+        ([6 * P * Q], ["localize", "--invert", "5"], {"localized": localized("Z[1/5]", [6 * P * Q])}),
+        ([6 * P * Q], ["localize", "--at", str(P)], {"localized": localized(f"Z_({P})", [P])}),
+        (
+            [6 * P * Q],
+            ["iso", "--f", "2", "--g", "3"],
+            {
+                "localized_f": localized("Z[1/2]", [3 * P * Q]),
+                "localized_g": localized("Z[1/3]", [2 * P * Q]),
+                "radicals_equal": False,
+                "modules_isomorphic": False,
+            },
+        ),
+        (
+            [6],
+            ["localize", "--at", "1000000000000037"],
+            {"localized": localized("Z_(1000000000000037)", [])},
+        ),
+    ],
+    ids=["pradical", "invert-5", "at-P", "iso", "at-a-prime-past-10^15"],
+)
+def test_primes_past_the_trial_division_bound_are_answered(factors, argv, result):
+    # P, Q and 10^15 + 37 lie past trial division to 10^7: Pollard-Brent
+    # splits them off and Miller-Rabin certifies them
+    code, report = run_file(factors, argv)
+    assert code == 0 and report["status"] == "ok"
+    assert report["result"].items() >= result.items()
+
+
 @pytest.mark.parametrize(
     "argv, result",
     [

@@ -439,9 +439,9 @@ def test_one_factorization_of_the_exponent_per_module_object(monkeypatch, ring):
     real = arith.factorize
     calls = []
 
-    def counting(n, bound=arith.DEFAULT_FACTOR_BOUND):
+    def counting(n):
         calls.append(n)
-        return real(n, bound)
+        return real(n)
 
     monkeypatch.setattr(arith, "factorize", counting)
     caches = (spec_enumerate, localize, sections)

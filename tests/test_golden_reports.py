@@ -49,7 +49,8 @@ MODULES = {
     "card-cap": factors(Z, [2, 4], caps={"cardinality": 4}),
     "subgroup-cap": factors(Z, [2, 4], caps={"subgroup_enumeration": 7}),
     "unknown-cap": factors(Z, [6], caps={"factor_bound": 2}),
-    # 10000019 * 10000079: past the default factor bound
+    # 10000019 * 10000079: two primes past the trial-division bound 10^7,
+    # split by Pollard-Brent and certified by Miller-Rabin
     "two-large-primes": factors(Z, [100000980001501]),
     "z2p": factors(Z, [2 * 10000019]),
     "zmod30": factors({"kind": "Zmod", "n": 30}, [2]),
@@ -106,8 +107,9 @@ CASES = [
     (["sheaf", "@free", "--open", "D(1)"], "7fe223b12eb60b42"),
     (["sheaf", "@z5000", "--open", "D(1)"], "ffa9b00e4c88ec13"),
     (["sheaf", "@z12", "--open", "E(2)"], "f9bb0a5b5e1fa28a"),
-    # the module's factor bound refusal comes before that of f = 10000103 * 10000121
-    (["sheaf", "@two-large-primes", "--open", "D(100002240012463)"], "c8f6fa3609f23e2f"),
+    # f = 10000103 * 10000121 meets no prime of M, so M_f = M and psi
+    # refuses |M| past the cardinality cap
+    (["sheaf", "@two-large-primes", "--open", "D(100002240012463)"], "1250d4221d6d8b8c"),
     (["cover", "@z12", "--f", "1", "--hs", "4,9"], "95a4a0876a05b9e5"),
     (["cover", "@zmod12", "--f", "2", "--hs", "3"], "54f34f03f5c88a45"),
     (["cover", "@pruefer3", "--f", "1", "--hs", "2"], "3f1d997a75d0109b"),
@@ -142,10 +144,12 @@ CASES = [
     (["localize", "@zero-zmod4", "--invert", "2"], "d17333f57b2ae163"),
     (["iso", "@zmod30", "--f", "3", "--g", "9"], "3bfe29eee8444f46"),
     (["localize", "@two-large-primes", "--invert", "0"], "0e5f80c8accd41a1"),
-    # the module's factor bound refusal comes first, as for sheaf
-    (["localize", "@two-large-primes", "--invert", "100002240012463"], "ab2c21d70fac1635"),
+    # M_f = M: both factorizations are answered
+    (["localize", "@two-large-primes", "--invert", "100002240012463"], "3785e722b5debd6f"),
     # 10000019 divides the exponent, so only 10000079 is factored
     (["localize", "@z2p", "--invert", "100000980001501"], "1b66fd0e070fc464"),
+    # a finite module is pradical, and the primes of M are now answered
+    (["pradical", "@two-large-primes"], "69be9185a0123c99"),
 ]
 
 # a failed property: with every localization declared non-isomorphic, the

@@ -126,7 +126,7 @@ def test_localize_matches_bruteforce(module):
     for ms in all_mult_sets(module):
         fast = localize(module, ms)
         slow = localize_bruteforce(module, ms)
-        assert iso_class_equal(fast, slow), (str(module), str(ms))
+        assert iso_class_equal(fast.module, slow.module), (str(module), str(ms))
         assert fast.ring == slow.ring
 
 

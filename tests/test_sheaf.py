@@ -128,7 +128,7 @@ def test_stalk_examples():
 
 def test_a_stalk_past_the_cardinality_cap_is_refused(tmp_path, capsys):
     # Spec(Z/8192) has one point, 2M, and its stalk has all 8192 sections
-    text = "8192 sections exceed the cardinality cap 4096"
+    text = "|O(U)| = 8192 exceeds the cardinality cap 4096"
     (prime,) = spec_enumerate(FgModule(ZZ, (8192,))).primes()
     with pytest.raises(CapExceededError) as exc:
         stalk(prime)
