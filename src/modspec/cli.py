@@ -10,9 +10,9 @@ instance.
 
 ``--strategy`` is read by spec and radical only.  Left out, spec runs both
 enumeration strategies and insists they agree, and radical runs the closed
-form N + rM, which builds no point of the spectrum.  Every spec and a
-brute-force radical walk Spec(M) under the cardinality cap
-(``MODSPEC_CARD_CAP``, else the file's), and ``Spectrum`` refuses more
+form N + rM, which builds no point of the spectrum.  Only spec and a
+brute-force radical read the cardinality cap (``MODSPEC_CARD_CAP``, else
+the file's): they walk Spec(M) under it, and ``Spectrum`` refuses more
 points than the cap, counted in closed form, before it builds one; a spec
 that runs the brute force refuses in the order ``spec_enumerate`` gives.
 
@@ -418,7 +418,7 @@ def cmd_sheaf(module, args, caps):
         f = int(text[2:-1])
     except ValueError as exc:
         raise ModuleFileError("--open", f"non-integer scalar in {text!r}") from exc
-    psi = psi_map(module, f, caps.get("cardinality", DEFAULT_CARDINALITY_CAP))
+    psi = psi_map(module, f)
     space = psi.space
     return {
         "open": {"f": f, "fibers": open_json(space.open_set)},

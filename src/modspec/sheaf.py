@@ -4,10 +4,10 @@ Sections over an open U assign to each point P a value in the localization
 at (P:M).  On a finite spectrum every fiber is itself open (the product of
 the other relevant primes cuts it out), so locally constant functions are
 exactly the fiberwise-constant ones and the section space over U is the
-product of the fiber stalks.  Stalks, the comparison map from a localized
-module onto the sections of a basic open, the cover decomposition
+product of the fiber stalks.  Stalks, the cover decomposition
 f^n = sum(r_i b_i), the localization isomorphism criterion and the sheaf
-axioms are all verified by finite enumeration.
+axioms are verified by finite enumeration; the comparison map from M_f
+onto the sections of D(fM) is decided from the images of M_f's generators.
 
 The sheaf-axiom check enumerates on integer codes rather than ``Section``
 objects.  A section over U is coded by its index in U's enumeration, a
@@ -43,6 +43,7 @@ from .fgmodules import (
     iso_class_equal,
     refuse_over_cap,
     scalar_colon,
+    submodule_from_generators,
 )
 from .localization import LocalizedModule, MultSet, localize
 from .spectrum import (
@@ -274,60 +275,39 @@ def stalk(prime: PrimeSubmodule) -> StalkResult:
 
 @dataclass(frozen=True)
 class PsiMapResult:
-    """The canonical map sending m/f^n to the section P -> m/f^n in M_(P:M),
-    enumerated over the localized module; bijective exactly when the sheaf
-    sees all of M_f (always, for modules with the prime radical condition).
+    """The canonical map sending m/f^n to the section P -> m/f^n in M_(P:M).
+    Its components land in the stalks M_(p), p-groups for distinct p, and a
+    subgroup of their product is the product of its projections: psi is
+    onto exactly when each component is, and bijective when also
+    |M_f| = |O(D(fM))|, always so under the prime radical condition.  A
+    surviving Pruefer group has M_f infinite and no sections.
     """
 
     module: FgModule
     f: int
     domain: LocalizedModule
     space: SectionSpace
-    assignments: tuple[tuple[ModElement, Section], ...]
     bijective: bool
 
-    def image_of(self, elem: ModElement) -> Section:
-        for x, s in self.assignments:
-            if x == elem:
-                return s
-        raise KeyError("element is not in the enumerated domain")
+    def image(self, y: ModElement) -> Section:
+        """psi(y) for y in M_f, the class of m/1 with m the canonical lift."""
+        m = self.module.element(self.domain.lift(y.coords))
+        return self.space.section({p: loc.project(m) for p, loc in self.space.stalks})
 
 
-def psi_map(module: FgModule, f: int, cap: int = DEFAULT_CARDINALITY_CAP) -> PsiMapResult:
+def psi_map(module: FgModule, f: int) -> PsiMapResult:
     """Evaluate and test the comparison map for one basic open D(fM).  The
     section space is built before M_f, so a module that has no spectrum, or
     whose exponent cannot be factored, is refused before f is factored."""
     space = sections(basic_open(f, module))
     domain = localize(module, MultSet.powers_of(f))
-
-    if domain.cardinality is None:
-        # infinite localization (Pruefer surviving f): the section space over
-        # the empty spectrum is 0, so the map cannot be injective
-        return PsiMapResult(module, f, domain, space, (), False)
-    if module.is_prufer:
-        # the localization died (p | f): 0 -> O(empty) = 0 is bijective
-        zero_sec = space.zero()
-        return PsiMapResult(
-            module,
-            f,
-            domain,
-            space,
-            ((domain.module.zero_element(), zero_sec),),
-            space.cardinality == 1,
-        )
-
-    assignments = []
-    images = set()
-    for y in domain.module.elements(cap):
-        # y is the class of m/1 for the canonical lift m
-        m = module.element(domain.lift(y.coords))
-        values = {p: loc.project(m) for p, loc in space.stalks}
-        s = space.section(values)
-        assignments.append((y, s))
-        images.add(s.values)
-    space_card = space.cardinality
-    bijective = len(images) == len(assignments) and len(images) == space_card
-    return PsiMapResult(module, f, domain, space, tuple(assignments), bijective)
+    # the generators of M_f lift to the generators of M that it keeps
+    lifts = [module.generator(i) for i, _ in domain.kept]
+    onto = all(
+        submodule_from_generators(loc.module, [loc.project(m) for m in lifts]).is_full
+        for _, loc in space.stalks
+    )
+    return PsiMapResult(module, f, domain, space, onto and domain.cardinality == space.cardinality)
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,9 @@ def check_sections_match_localizations(
         for f in range(0, _scalar_bound(m) + 1):
             checks += 1
             res = psi_map(m, f)
-            if not res.bijective:
+            # the walk over M_f is the reference for the algebraic verdict
+            images = {res.image(y).values for y in res.domain.module.elements()}
+            if not (res.bijective and len(images) == res.domain.cardinality == res.space.cardinality):
                 failures.append(f"{m}: comparison map not bijective at f={f}")
         checks += 1
         if not iso_class_equal(psi_map(m, 1).space.carrier, m):

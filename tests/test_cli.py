@@ -438,7 +438,7 @@ def test_quiet_suppresses_stderr(capsys, z12):
 
 def test_env_cap_override(capsys, z12, monkeypatch):
     monkeypatch.setenv("MODSPEC_CARD_CAP", "4")
-    code, report = run(capsys, ["sheaf", z12, "--open", "D(1)"])
+    code, report = run(capsys, ["spec", z12])
     assert code == 1 and report["status"] == "error"
     assert "cap" in report["result"]["error"]
 
@@ -464,7 +464,7 @@ def test_env_cap_is_not_echoed_into_inputs(capsys, tmp_path, monkeypatch):
 def test_env_cap_overrides_the_file_cap(capsys, tmp_path, monkeypatch):
     path = module_file(tmp_path, {"kind": "Z"}, [12], caps={"cardinality": 100})
     monkeypatch.setenv("MODSPEC_CARD_CAP", "4")
-    code, report = run(capsys, ["sheaf", path, "--open", "D(1)"])
+    code, report = run(capsys, ["spec", path])
     assert code == 1
     assert report["result"]["error"] == "|M| = 12 exceeds the cardinality cap 4"
     assert report["inputs"]["caps"] == {"cardinality": 100}
@@ -488,7 +488,7 @@ def test_negative_env_cap_is_a_structured_error(capsys, z12, monkeypatch, value)
 
 def test_zero_env_cap_refuses(capsys, z12, monkeypatch):
     monkeypatch.setenv("MODSPEC_CARD_CAP", "0")
-    code, report = run(capsys, ["sheaf", z12, "--open", "D(1)"])
+    code, report = run(capsys, ["spec", z12])
     assert code == 1
     assert report["result"]["error"] == "|M| = 12 exceeds the cardinality cap 0"
 
@@ -640,17 +640,22 @@ def assert_refused(code, report, text):
     assert report["result"]["error"] == text
 
 
+def assert_psi_bijective_on_all_of_m(code, report, card):
+    assert code == 0 and report["result"]["psi"]["bijective"] is True
+    assert report["result"]["section_space"]["cardinality"] == card
+
+
 @CAP_SETTINGS
 @given(chains(), st.data())
 def test_cardinality_cap_refuses(factors, data):
     card = math.prod(factors)
     cap = data.draw(st.integers(1, card - 1))
     text = f"|M| = {card} exceeds the cardinality cap {cap}"
-    # spec reads the cap in the brute-force prime test, sheaf in psi
+    # spec reads the cap in the brute-force prime test; sheaf reads none
     code, report = run_file(factors, ["spec"], caps={"cardinality": cap})
     assert_refused(code, report, text)
     code, report = run_file(factors, ["sheaf", "--open", "D(1)"], caps={"cardinality": cap})
-    assert_refused(code, report, text)
+    assert_psi_bijective_on_all_of_m(code, report, card)
 
 
 @CAP_SETTINGS
@@ -668,7 +673,7 @@ def test_env_cardinality_cap_refuses(factors, data):
     card = math.prod(factors)
     cap = data.draw(st.integers(1, card - 1))
     with mock.patch.dict(os.environ, {"MODSPEC_CARD_CAP": str(cap)}):
-        code, report = run_file(factors, ["sheaf", "--open", "D(1)"])
+        code, report = run_file(factors, ["spec"])
     assert_refused(code, report, f"|M| = {card} exceeds the cardinality cap {cap}")
 
 
@@ -734,11 +739,10 @@ def test_spec_on_an_elementary_group_past_the_points_cap_refuses(options):
         st.sampled_from([[3] * 8, [6] * 5, [2, 6, 30, 210]]),
     )
 )
-def test_psi_default_cardinality_cap_refuses(factors):
-    # M_1 = M, so psi enumerates all of M
-    card = math.prod(factors)
+def test_psi_answers_past_the_default_cardinality_cap(factors):
+    # M_1 = M, and psi is decided without walking it
     code, report = run_file(factors, ["sheaf", "--open", "D(1)"])
-    assert_refused(code, report, f"|M| = {card} exceeds the cardinality cap 4096")
+    assert_psi_bijective_on_all_of_m(code, report, math.prod(factors))
 
 
 P, Q = 10_000_019, 10_000_079

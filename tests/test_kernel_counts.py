@@ -11,7 +11,7 @@ import pytest
 
 import modspec
 import modspec.cli
-from modspec import arith, fgmodules, lattices, localization, spectrum
+from modspec import arith, fgmodules, lattices, localization, sheaf, spectrum
 from modspec.fgmodules import FgModule
 from test_cli import mixed_argvs
 
@@ -386,8 +386,20 @@ ORACLES = {
 }
 
 
+# enumerations of a module or a section space, counted per call
+ENUMERATIONS = {"FgModule.elements": FgModule, "SectionSpace.elements": sheaf.SectionSpace}
+
+
 def test_no_default_query_runs_an_oracle(monkeypatch, tmp_path, capsys):
     counts = count_calls(monkeypatch, ORACLES)
+    for name, cls in ENUMERATIONS.items():
+
+        def counting(self, *args, _real=cls.elements, _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+
+        counts[name] = 0
+        monkeypatch.setattr(cls, "elements", counting)
     oracle_radicals = []
     real = spectrum.prime_radical
 
@@ -412,7 +424,7 @@ def test_no_default_query_runs_an_oracle(monkeypatch, tmp_path, capsys):
         finally:
             clear_caches()
     capsys.readouterr()
-    assert counts == dict.fromkeys(ORACLES, 0) and oracle_radicals == []
+    assert counts == dict.fromkeys([*ORACLES, *ENUMERATIONS], 0) and oracle_radicals == []
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from modspec.fgmodules import (
     prufer_module,
     zero_module,
 )
-from modspec.localization import MultSet, localize, relocalize
+from modspec.localization import LocalizedModule, MultSet, localize, relocalize
 from modspec.sheaf import (
     CoverError,
     Germ,
@@ -35,6 +35,7 @@ from modspec.sheaf import (
     stalk,
 )
 from modspec.spectrum import basic_open, spec_enumerate
+from modspec.verify import check_sections_match_localizations
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +202,10 @@ def test_psi_zero_and_zero_scalar():
 def test_psi_is_homomorphism():
     m = from_cyclic_orders(ZZ, [2, 12])
     res = psi_map(m, 1)
-    elems = [x for x, _ in res.assignments]
+    elems = list(res.domain.module.elements())
     for x in elems[:8]:
         for y in elems[:8]:
-            assert res.image_of(x + y) == res.image_of(x) + res.image_of(y)
+            assert res.image(x + y) == res.image(x) + res.image(y)
 
 
 def test_psi_naturality():
@@ -214,9 +215,28 @@ def test_psi_naturality():
         res_f = psi_map(m, f)
         res_fg = psi_map(m, f * g)
         d_fg = basic_open(f * g, m)
-        for x, s in res_f.assignments:
+        for x in res_f.domain.module.elements():
             moved = relocalize(x, res_f.domain, res_fg.domain)
-            assert restrict(s, d_fg) == res_fg.image_of(moved)
+            assert restrict(res_f.image(x), d_fg) == res_fg.image(moved)
+
+
+def test_a_psi_that_doubles_a_coordinate_fails_both_verdicts(monkeypatch):
+    real = LocalizedModule.project
+
+    def doubling(self, elem):
+        img = real(self, elem)
+        return self.module.element(img.coords[:-1] + (2 * img.coords[-1],))
+
+    # in the stalk (Z/2 + Z/12)_(2) = Z/2 + Z/4 the doubled image is not onto
+    m = from_cyclic_orders(ZZ, [2, 12])
+    failure = f"{m}: comparison map not bijective at f=1"
+    monkeypatch.setattr(LocalizedModule, "project", doubling)
+    assert not psi_map(m, 1).bijective
+    assert failure in check_sections_match_localizations([m]).failures
+    # with the algebraic verdict forced to True, criterion 5's walk still fails
+    monkeypatch.setattr(sheaf, "submodule_from_generators", lambda module, gens: module.full_submodule())
+    assert psi_map(m, 1).bijective
+    assert failure in check_sections_match_localizations([m]).failures
 
 
 # ---------------------------------------------------------------------------
