@@ -27,9 +27,14 @@ that checks nothing on the file (3.1 on the zero module, sheaf-axioms past
 four fibers) refuses with the reason; under all, such a suite reports 0
 checks.  The suites walk Spec(M) under the default cap.
 
-The argument parser is built once, when this module is imported, and
-every ``main`` call parses with it; argparse makes a fresh namespace per
-parse, so no argument carries over from one call to the next.
+One table, ``GRAMMAR``, holds each command's handler, help and options.
+``main`` reads a plain command line, ``[--quiet] [--strategy S] COMMAND
+FILE (--flag VALUE)*`` with each flag spelled in full and given once and
+no FILE or VALUE starting with '-', off it in one pass.  Every other one
+(help, a usage error, an abbreviated flag, ``--flag=value``, a negative
+number, an option before FILE) goes to the argparse parser built from the
+same table once, at import.  Each parse makes a fresh namespace, so no
+argument carries over from one call to the next.
 
 A process loads only the modules its command runs.  This module imports
 at its top only what nearly every command needs: arith, lattices,
@@ -490,19 +495,6 @@ def cmd_verify(module, args, caps):
     }
 
 
-COMMANDS = {
-    "spec": cmd_spec,
-    "radical": cmd_radical,
-    "colon": cmd_colon,
-    "pradical": cmd_pradical,
-    "localize": cmd_localize,
-    "sheaf": cmd_sheaf,
-    "cover": cmd_cover,
-    "iso": cmd_iso,
-    "verify": cmd_verify,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
@@ -517,6 +509,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+STRATEGIES = ("bruteforce", "classified", "both")
+_FILE = "module file (JSON)"
+_SUBMODULE = ("--submodule", str, True, None, "generators, e.g. '1,0;0,2'")
+
+# The CLI's one grammar: each command's handler, its help, the help of its
+# FILE and its options, each (flag, type, required, choices, help).
+# build_parser builds argparse's parser from it, _parse_plain reads plain
+# argvs off it and main dispatches through it.
+GRAMMAR = {
+    "spec": (cmd_spec, "enumerate Spec(M) by fiber", _FILE, ()),
+    "radical": (cmd_radical, "prime radical of a submodule", _FILE, (_SUBMODULE,)),
+    "colon": (cmd_colon, "colon ideal (N : M)", _FILE, (_SUBMODULE,)),
+    "pradical": (cmd_pradical, "test the prime radical condition", _FILE, ()),
+    "localize": (cmd_localize, "localize at a multiplicative set", _FILE, (
+        ("--invert", int, False, None, "invert the powers of f"),
+        ("--at", int, False, None, "localize at the prime (p)"),
+    )),
+    "sheaf": (cmd_sheaf, "section space and comparison map over a basic open", _FILE, (
+        ("--open", str, True, None, "basic open, e.g. 'D(2)'"),
+    )),
+    "cover": (cmd_cover, "decompose a power of f over a basic-open cover", _FILE, (
+        ("--f", int, True, None, None),
+        ("--hs", str, True, None, "comma-separated covering scalars"),
+    )),
+    "iso": (cmd_iso, "localization isomorphism criterion for f and g", _FILE, (
+        ("--f", int, True, None, None),
+        ("--g", int, True, None, None),
+    )),
+    "verify": (cmd_verify, "run a property suite on a file or the corpus",
+               "module file, or the literal 'corpus'", (
+        ("--suite", str, True, (*SUITE_NAMES, "all"), "which family of checks to run"),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="modspec",
@@ -526,44 +553,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     parser.add_argument(
         "--strategy",
-        choices=["bruteforce", "classified", "both"],
+        choices=STRATEGIES,
         help="spectrum enumeration strategy, read by spec and radical only "
         "(default: both, agreement enforced, for spec; the closed form, "
         "which builds no point, for radical)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (_, help_text, file_help, options) in GRAMMAR.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="module file (JSON)")
-        return p
-
-    add("spec", "enumerate Spec(M) by fiber")
-    p = add("radical", "prime radical of a submodule")
-    p.add_argument("--submodule", required=True, help="generators, e.g. '1,0;0,2'")
-    p = add("colon", "colon ideal (N : M)")
-    p.add_argument("--submodule", required=True, help="generators, e.g. '1,0;0,2'")
-    add("pradical", "test the prime radical condition")
-    p = add("localize", "localize at a multiplicative set")
-    p.add_argument("--invert", type=int, help="invert the powers of f")
-    p.add_argument("--at", type=int, help="localize at the prime (p)")
-    p = add("sheaf", "section space and comparison map over a basic open")
-    p.add_argument("--open", required=True, help="basic open, e.g. 'D(2)'")
-    p = add("cover", "decompose a power of f over a basic-open cover")
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--hs", required=True, help="comma-separated covering scalars")
-    p = add("iso", "localization isomorphism criterion for f and g")
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p = sub.add_parser("verify", help="run a property suite on a file or the corpus")
-    p.add_argument("file", help="module file, or the literal 'corpus'")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=[*SUITE_NAMES, "all"],
-        help="which family of checks to run",
-    )
+        p.add_argument("file", help=file_help)
+        for flag, kind, required, choices, option_help in options:
+            p.add_argument(flag, type=kind, required=required, choices=choices, help=option_help)
     return parser
+
+
+def _parse_plain(argv) -> argparse.Namespace | None:
+    """What ``PARSER.parse_args(argv)`` returns on a plain argv,
+    ``[--quiet] [--strategy S] COMMAND FILE (--flag VALUE)*`` with each flag
+    the command's own, spelled in full and given at most once, and no FILE
+    or VALUE starting with '-'.  None on any other argv, or on one argparse
+    refuses, which ``main`` then hands to argparse."""
+    quiet, strategy, i = False, None, 0
+    while i < len(argv) and argv[i] in ("--quiet", "--strategy"):
+        if argv[i] == "--quiet":
+            quiet, i = True, i + 1
+        elif i + 1 < len(argv) and argv[i + 1] in STRATEGIES:
+            strategy, i = argv[i + 1], i + 2
+        else:
+            return None
+    rest = argv[i:]
+    if len(rest) < 2 or len(rest) % 2 or rest[0] not in GRAMMAR or rest[1].startswith("-"):
+        return None
+    given = dict(zip(rest[2::2], rest[3::2]))
+    if len(given) < len(rest) // 2 - 1:  # a flag given twice
+        return None
+    values = {}
+    for flag, kind, required, choices, _ in GRAMMAR[rest[0]][3]:
+        value = given.pop(flag, None)
+        if value is None:
+            if required:
+                return None
+        elif value.startswith("-") or (choices and value not in choices):
+            return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[flag[2:]] = value
+    if given:  # a flag the command does not have
+        return None
+    return argparse.Namespace(quiet=quiet, strategy=strategy, command=rest[0], file=rest[1], **values)
 
 
 PARSER = build_parser()
@@ -594,7 +634,8 @@ def _report(inputs: dict, result: dict, status: str, quiet: bool) -> int:
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv) or PARSER.parse_args(argv)
     command = args.command
     if args.strategy is None:
         args.strategy = DEFAULT_STRATEGY.get(command)
@@ -608,10 +649,13 @@ def main(argv=None) -> int:
             inputs["scope"] = "corpus"
         else:
             try:
-                with open(args.file, "r", encoding="utf-8") as fh:
-                    text = fh.read()
+                with open(args.file, "rb") as fh:
+                    data = fh.read()
             except OSError as exc:
                 raise ModuleFileError("<file>", f"cannot read {args.file}: {exc}")
+            # read as text mode read it: a BOM is kept for the parser to refuse,
+            # and \r\n and \r become \n, so a JSON error names the same offset
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
             module, caps = load_module_file(text)
             inputs["module"] = module_to_json(module)
         if caps:
@@ -632,7 +676,7 @@ def main(argv=None) -> int:
         if command == "spec":
             inputs["strategy"] = args.strategy
 
-        result = COMMANDS[command](module, args, caps)
+        result = GRAMMAR[command][0](module, args, caps)
     except (ValueError, CapExceededError) as exc:
         return _report(inputs, {"error": str(exc)}, "error", quiet)
     except PropertyViolation as exc:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -17,8 +18,11 @@ import modspec
 from modspec import sheaf as sheaf_layer, spectrum as spectrum_layer, verify
 from modspec.arith import ZZ
 from modspec.cli import (
+    GRAMMAR,
     INT_STRING_BOUND,
+    PARSER,
     ModuleFileError,
+    _parse_plain,
     build_parser,
     jsonable,
     load_module_file,
@@ -534,9 +538,22 @@ def test_usage_errors_exit_1(capsys, z12, argv):
 
 
 def test_suite_choices_are_the_verify_suites():
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
-    assert list(suite.choices) == sorted(verify.SUITES) + ["all"]
+    (suite,) = [option for option in GRAMMAR["verify"][3] if option[0] == "--suite"]
+    assert list(suite[3]) == sorted(verify.SUITES) + ["all"]
+
+
+# sha256 of the stdout of --help and of each COMMAND --help, in the order
+# of GRAMMAR, at 80 columns
+HELP_DIGEST = "bf85987188d72876"
+
+
+def test_help_texts_are_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in [["--help"]] + [[command, "--help"] for command in GRAMMAR]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == HELP_DIGEST
 
 
 def test_help_exits_0(capsys):
@@ -560,10 +577,89 @@ def test_main_constructs_no_parser(capsys, z12, monkeypatch):
     build_parser()
     assert len(constructed) == 10  # the top level and nine subcommands
     constructed.clear()
+    parsed = []
+    real_parse = PARSER.parse_args
+    monkeypatch.setattr(PARSER, "parse_args", lambda argv: parsed.append(argv) or real_parse(argv))
     for argv in mixed_argvs(z12) * 2:
         assert main(argv) == 0
     capsys.readouterr()
-    assert constructed == []
+    assert constructed == [] and parsed == []  # plain argvs skip argparse
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and len(parsed) == 1
+    assert main(["radical", z12, "--sub", "4"]) == 0  # argparse reads an abbreviated flag
+    capsys.readouterr()
+    assert len(parsed) == 2 and constructed == []
+
+
+INT_VALUES = ["0", "7", "12", "9007199254740993", "-3", "x", " 7", "1_0", "+2", "", "\u0663"]
+STR_VALUES = ["", "4", "1,0;0,2", "D(2)", "4,9", "all", "2.4", "nope", "-1", "--", "a b"]
+
+
+@st.composite
+def grammar_argvs(draw):
+    """An argv drawn from GRAMMAR's plain form, then mutated as argparse
+    alone reads it, and whether it kept the plain form."""
+    head = draw(st.lists(st.sampled_from(
+        [["--quiet"], ["--strategy", "both"], ["--strategy", "classified"], ["--strategy", "fast"]]
+    ), max_size=3))
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    options = GRAMMAR[command][3]
+    pairs = []
+    for flag, kind, required, choices, _ in draw(st.permutations(options)):
+        if required or draw(st.booleans()):
+            values = INT_VALUES if kind is int else STR_VALUES + list(choices or ())
+            pairs.append([flag, draw(st.sampled_from(values))])
+    argv = [a for h in head for a in h] + [command, draw(st.sampled_from(["FILE", "corpus", "", "-x", "-h"]))]
+    plain = all(not value.startswith("-") for _, value in pairs)
+    for mutation in draw(st.lists(st.integers(0, 9), max_size=2)):
+        plain = False
+        if mutation == 0 and pairs:  # an abbreviated flag
+            pair = draw(st.sampled_from(pairs))
+            pair[0] = pair[0][: draw(st.integers(3, max(3, len(pair[0]) - 1)))]
+        elif mutation == 1 and pairs:  # --flag=value
+            i = draw(st.integers(0, len(pairs) - 1))
+            pairs[i] = ["=".join(pairs[i])]
+        elif mutation == 2 and pairs:  # a repeated flag
+            pairs.append(list(draw(st.sampled_from(pairs))))
+        elif mutation == 3 and pairs:  # a missing option
+            pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+        elif mutation == 4:  # an unknown command
+            argv[-2] = draw(st.sampled_from(["bogus", "spe", "Spec", "--spec"]))
+        elif mutation == 5:  # an unknown suite, or a flag the command lacks
+            pairs.append(draw(st.sampled_from([["--suite", "nope"], ["--at", "2"], ["--x", "1"]])))
+        elif mutation == 6:  # help
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+        elif mutation == 7 and pairs:  # an option before FILE
+            argv[-1:-1] = pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+        elif mutation == 8:  # the end of the options
+            argv.insert(draw(st.integers(0, len(argv))), "--")
+        elif mutation == 9:  # a top-level option after the command, or a flag with no value
+            pairs.append(draw(st.sampled_from([["--quiet"], ["--strategy", "both"], ["--open"]])))
+    return argv + [a for pair in pairs for a in pair], plain
+
+
+def argparse_vars(argv):
+    """vars() of PARSER's namespace on argv, or None where PARSER exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(grammar_argvs())
+def test_plain_parse_agrees_with_argparse(drawn):
+    argv, plain = drawn
+    expected = argparse_vars(argv)
+    parsed = _parse_plain(argv)
+    if parsed is not None:
+        assert vars(parsed) == expected
+    elif plain:
+        # a plain argv takes the plain path unless argparse refuses it
+        assert expected is None
 
 
 def test_no_argument_carries_over(capsys, z12):

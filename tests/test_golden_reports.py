@@ -55,6 +55,12 @@ MODULES = {
     "z2p": factors(Z, [2 * 10000019]),
     "zmod30": factors({"kind": "Zmod", "n": 30}, [2]),
     "non-ascii-ring": factors({"kind": "Z\u00e9"}, [2]),
+    # files given as bytes are written as they are: the read decodes UTF-8,
+    # keeps a byte-order mark (which the JSON parser refuses) and turns
+    # CRLF into LF before the parser counts offsets
+    "crlf-syntax-error": b'{"ring": {"kind": "Z"},\r\n "module": {"kind": "prufer" "p": 3}}\r\n',
+    "bom": b"\xef\xbb\xbf" + json.dumps({"ring": Z, "module": {"kind": "prufer", "p": 3}}).encode(),
+    "non-utf8": b'{"ring": {"kind": "Z"}, "module": {"kind": "prufer", "p": 3}, "\xff": 1}',
 }
 
 # (argv with @name for the file of MODULES[name], digest of (exit code, stdout))
@@ -150,6 +156,9 @@ CASES = [
     (["localize", "@z2p", "--invert", "100000980001501"], "1b66fd0e070fc464"),
     # a finite module is pradical, and the primes of M are now answered
     (["pradical", "@two-large-primes"], "69be9185a0123c99"),
+    (["pradical", "@crlf-syntax-error"], "5fcd54c92b958332"),
+    (["pradical", "@bom"], "714367a17aff16af"),
+    (["pradical", "@non-utf8"], "aac874e5555fda05"),
 ]
 
 # a failed property: with every localization declared non-isomorphic, the
@@ -168,7 +177,8 @@ def run_case(tmp_path, argv):
     for a in argv:
         if a.startswith("@"):
             path = tmp_path / f"{a[1:]}.json"
-            path.write_text(json.dumps(MODULES[a[1:]]))
+            data = MODULES[a[1:]]
+            path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
             a = str(path)
         args.append(a)
     out = io.StringIO()
