@@ -8,6 +8,7 @@ Structural equality of canonical generators is ideal equality.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -30,47 +31,82 @@ class NotInRadicalError(ValueError):
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n|, n != 0, as a dict in ascending prime order.
 
-    Past the primes below 2^10, a cofactor below ``_PSI13`` is split by
-    Pollard-Brent, within a budget of a multiple of isqrt(FACTOR_BOUND)
-    steps, into primes certified by deterministic Miller-Rabin.  Any other
-    cofactor goes on by trial division up to FACTOR_BOUND.  If that leaves
-    a composite R, :class:`FactorBoundExceeded` is raised with the text
-    ``trial division bound {FACTOR_BOUND} exceeded while factoring {R}``,
-    which ``LIMIT_REFUSAL`` in ``perfbench/run.py`` matches as a refusal.
+    Three stages divide the primes out in ascending order:
+
+    1. the primes below 2^10, read off one gcd with their product;
+    2. the primes from 2^10 to 2^16, in blocks of ``_BLOCK_SIZE``: one gcd
+       with each block's product, until a block's least prime squared
+       exceeds the cofactor.  A cofactor below the square of the least
+       prime not divided out is 1 or a prime, so below 2^32 it is settled;
+    3. any larger cofactor below ``_PSI13`` is split by Pollard-Brent,
+       within a budget of a multiple of isqrt(FACTOR_BOUND) steps, into
+       primes certified by deterministic Miller-Rabin.  One that is past
+       ``_PSI13``, or that Pollard-Brent cannot split, goes on by trial
+       division with the odd numbers past stage 2, up to FACTOR_BOUND.
+
+    Stage 2 divides out no prime above FACTOR_BOUND, read at call time, so
+    trial division names the cofactor that dividing by every number up to
+    the bound would leave.  If that cofactor R is composite,
+    :class:`FactorBoundExceeded` is raised with the text ``trial division
+    bound {FACTOR_BOUND} exceeded while factoring {R}``, which
+    ``LIMIT_REFUSAL`` in ``perfbench/run.py`` matches as a refusal.
     """
     n = abs(int(n))
     if n == 0:
         raise ValueError("0 has no prime factorization")
     factors: dict[int, int] = {}
-    n = _divide_out_small_primes(n, factors)
-    primes = _split_into_primes(n) if _TRIAL_LIMIT**2 <= n < _PSI13 else None
-    if primes is None:
-        # 1, a prime below 2^20, or a cofactor Pollard-Brent may not split
-        n = _divide_out_odd_numbers(n, factors)
+    # below 2^10 the few primes up to sqrt(n) cost less than the gcd
+    g = n if n < _TRIAL_LIMIT else math.gcd(n, _SMALL_PRIMORIAL)
+    n = _divide_out(n, _SMALL_PRIMES, g, factors)
+    n, least = _divide_out_block_primes(n, factors)
+    if n < least * least:
         primes = [n] if n > 1 else []
+    else:
+        primes = _split_into_primes(n, least) if n < _PSI13 else None
+        if primes is None:
+            n = _divide_out_odd_numbers(n, factors)
+            primes = [n] if n > 1 else []
     for p in sorted(primes):
         factors[p] = factors.get(p, 0) + 1
     return factors
 
 
-# Trial division up to 2^10 settles every cofactor below 2^20 by itself.
+# The two prime tables end here: past 2^10 a cofactor below 2^20 is 1 or
+# a prime, and past 2^16 one below 2^32.
 _TRIAL_LIMIT = 1 << 10
+_BLOCK_LIMIT = 1 << 16
+_BLOCK_SIZE = 128
 
 
-def _primes_below(n: int) -> tuple[int, ...]:
-    """The primes below n, n >= 2, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return tuple(compress(range(n), sieve))
+def _odd_primes_below(n: int) -> list[int]:
+    """The odd primes below n, n >= 3, in ascending order, by the sieve of
+    Eratosthenes over the odd numbers: entry i stands for 2i + 1."""
+    size = n // 2
+    sieve = bytearray([1]) * size
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(n - 1) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, size, p)))
+    return list(compress(range(1, n, 2), sieve))
 
 
-# The primes below 2^10 and their product: one gcd with the product shows
-# which of them divide n.
-_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+# One sieve makes both tables: the primes below 2^10 with their product,
+# and the primes from 2^10 to 2^16 in ascending blocks, each with its
+# product.  One gcd with a product shows which of its primes divide n.
+_ODD_PRIMES = _odd_primes_below(_BLOCK_LIMIT)
+_SMALL_COUNT = bisect_right(_ODD_PRIMES, _TRIAL_LIMIT)
+_SMALL_PRIMES = (2, *_ODD_PRIMES[:_SMALL_COUNT])
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+_BLOCKS = tuple(
+    (block, math.prod(block))
+    for block in (
+        tuple(_ODD_PRIMES[i : i + _BLOCK_SIZE])
+        for i in range(_SMALL_COUNT, len(_ODD_PRIMES), _BLOCK_SIZE)
+    )
+)
+del _ODD_PRIMES, _SMALL_COUNT
 
 # psi_k (OEIS A014233) is the least odd composite that is a strong
 # pseudoprime to each of the first k prime bases, so below psi_k those k
@@ -94,14 +130,15 @@ _RHO_STEPS_PER_ROOT = 16
 _RHO_BATCH = 128
 
 
-def _divide_out_small_primes(n: int, factors: dict[int, int]) -> int:
-    """Divide the primes below 2^10 out of n into ``factors`` and return
-    the cofactor: where the loop stops at the square root, 1 or a prime.
-    For n >= 2^10 one gcd with ``_SMALL_PRIMORIAL`` shows which divide n."""
-    # g keeps the small primes not yet divided out; below 2^10 the few
-    # primes up to sqrt(n) cost less than the gcd
-    g = n if n < _TRIAL_LIMIT else math.gcd(n, _SMALL_PRIMORIAL)
-    for p in _SMALL_PRIMES:
+def _divide_out(n: int, primes: tuple[int, ...], g: int, factors: dict[int, int]) -> int:
+    """Divide the ascending ``primes`` that divide g out of n into
+    ``factors``, and return the cofactor.  g has the same prime divisors
+    among ``primes`` as n, and n none below ``primes[0]``.  The loop stops
+    where p^2 > n, leaving a cofactor that is 1 or a prime."""
+    if g < primes[0] * primes[0]:
+        # g is 1 or one prime: no other of the primes divides n
+        primes = (g,) if g > 1 else ()
+    for p in primes:
         if p * p > n or g == 1:
             break
         if g % p == 0:
@@ -114,11 +151,35 @@ def _divide_out_small_primes(n: int, factors: dict[int, int]) -> int:
     return n
 
 
+def _divide_out_block_primes(n: int, factors: dict[int, int]) -> tuple[int, int]:
+    """Divide the primes from 2^10 to the least of 2^16 and FACTOR_BOUND
+    out of n, which has no prime factor below 2^10, into ``factors``.
+    Returns the cofactor and a lower bound on its prime factors: the least
+    prime left in the table, or 2^16 + 1 past it."""
+    bound = FACTOR_BOUND
+    for primes, product in _BLOCKS:
+        least = primes[0]
+        if least * least > n or least > bound:
+            return n, least
+        if primes[-1] > bound:
+            # the bound cuts this block: no prime past it is divided out
+            k = bisect_right(primes, bound)
+            n = _divide_out(n, primes[:k], math.gcd(n, math.prod(primes[:k])), factors)
+            return n, primes[k]
+        g = math.gcd(n, product)
+        if g > 1:
+            n = _divide_out(n, primes, g, factors)
+    return n, _BLOCK_LIMIT + 1
+
+
 def _divide_out_odd_numbers(n: int, factors: dict[int, int]) -> int:
-    """Divide the odd numbers from 2^10 + 1 up to FACTOR_BOUND out of n,
-    which has no prime factor below 2^10, into ``factors``.  Returns the
-    cofactor, 1 or a prime, and refuses a composite one."""
-    d = _TRIAL_LIMIT + 1
+    """Divide the odd numbers past the primes that
+    :func:`_divide_out_block_primes` covers, up to FACTOR_BOUND, out of n
+    into ``factors``.  n has no prime factor up to the least of 2^16 and
+    FACTOR_BOUND, nor below 2^10.  Returns the cofactor, 1 or a prime, and
+    refuses a composite one."""
+    # the least odd number past the primes divided out before
+    d = (min(max(FACTOR_BOUND, _TRIAL_LIMIT), _BLOCK_LIMIT) + 1) | 1
     while d * d <= n:
         if d > FACTOR_BOUND:
             raise FactorBoundExceeded(
@@ -188,16 +249,18 @@ def _pollard_brent(n: int, budget: int) -> int | None:
     return None
 
 
-def _split_into_primes(n: int) -> list[int] | None:
-    """The prime factors of n with multiplicity, each certified by
-    :func:`_is_prime_mr`, or None when Pollard-Brent runs out of budget.
-    n must be below _PSI13 with no prime factor below _TRIAL_LIMIT."""
+def _split_into_primes(n: int, least: int) -> list[int] | None:
+    """The prime factors of n with multiplicity, or None when Pollard-Brent
+    runs out of budget.  n must be below _PSI13 with no prime factor below
+    ``least`` >= 2^10, so a factor below least^2 is prime; any other is
+    certified by :func:`_is_prime_mr`."""
     budget = _RHO_STEPS_PER_ROOT * math.isqrt(FACTOR_BOUND)
+    settled = least * least
     primes = []
     todo = [n]
     while todo:
         m = todo.pop()
-        if _is_prime_mr(m):
+        if m < settled or _is_prime_mr(m):
             primes.append(m)
             continue
         f = _pollard_brent(m, budget)
@@ -292,6 +355,17 @@ class Ring:
                 raise ValueError(f"{self.local_prime} is not prime")
             if self.local_prime == 0 and self.modulus is not None:
                 raise ValueError("the zero ideal is not prime in Z/n")
+
+    @classmethod
+    def _local_at_tested_prime(cls, modulus: int | None, p: int) -> Ring:
+        """``Ring(modulus=modulus, local_prime=p)`` for a p the caller has
+        already checked: a prime, dividing the modulus if there is one, or
+        0 over Z.  The fields are set without repeating the test."""
+        ring = object.__new__(cls)
+        object.__setattr__(ring, "modulus", modulus)
+        object.__setattr__(ring, "inverted", None)
+        object.__setattr__(ring, "local_prime", p)
+        return ring
 
     @property
     def is_localized(self) -> bool:

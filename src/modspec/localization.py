@@ -74,14 +74,14 @@ class MultSet:
 
     @classmethod
     def complement_of_prime(cls, p: int) -> MultSet:
-        p = int(p)
-        if p != 0 and not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return cls("prime_complement", p)
+        return cls("prime_complement", int(p))
 
     def __post_init__(self):
         if self.kind not in ("powers", "prime_complement"):
             raise ValueError(f"unknown multiplicative set kind {self.kind!r}")
+        # the one primality test of p: localized_ring relies on it
+        if self.kind == "prime_complement" and self.value != 0 and not is_prime(self.value):
+            raise ValueError(f"{self.value} is not prime")
 
     def localized_ring(self, base: Ring, module: FgModule | None = None) -> Ring:
         """The ring S^-1 R; ``inverted = 0`` marks a set that contains 0.
@@ -110,7 +110,7 @@ class MultSet:
         p = self.value
         if base.modulus is not None and (p == 0 or base.modulus % p):
             raise ValueError(f"({p}) is not a prime ideal of {base}")
-        return Ring(modulus=base.modulus, local_prime=p)
+        return Ring._local_at_tested_prime(base.modulus, p)
 
     def meets_prime(self, q: int, base: Ring) -> bool:
         """Does S intersect the prime ideal (q)?"""

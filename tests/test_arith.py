@@ -280,6 +280,19 @@ def test_large_primes_are_answered_without_odd_trial_division(odd_divisions):
     assert odd_divisions == []
 
 
+def test_block_prime_table():
+    # the blocks hold the primes from 2^10 to 2^16 once each, ascending;
+    # test_small_prime_table checks the table below 2^10 is unchanged
+    blocks = arith._BLOCKS
+    assert tuple(p for primes, _ in blocks for p in primes) == tuple(
+        sympy.primerange(2**10, 2**16)
+    )
+    assert all(len(primes) == arith._BLOCK_SIZE for primes, _ in blocks[:-1])
+    assert 0 < len(blocks[-1][0]) <= arith._BLOCK_SIZE
+    for primes, product in blocks:
+        assert product == math.prod(primes)
+
+
 def test_small_prime_table():
     primes = tuple(sympy.primerange(2, 2**10 + 1))
     assert arith._SMALL_PRIMES == primes
@@ -293,6 +306,82 @@ DEEP_SHAPED = [
     for a in (1, 2, 6, 30, 4 * 9 * 5, 1021, 2 * 1019 * 1021, 997**2, 31**3)
     for p, q in ((10_007, 10_009), (18_013, 199_999))
 ]
+
+
+def block_edge_inputs():
+    """The first and last prime of every block alone, two primes of one
+    block, powers of block primes, and cofactors on either side of 2^32."""
+    out = []
+    for primes, _ in arith._BLOCKS:
+        first, last = primes[0], primes[-1]
+        out += [first, last, 6 * first * last, primes[1] * primes[-2] ** 2, first**2, last**3]
+    below, above = sympy.prevprime(2**32), sympy.nextprime(2**32)
+    for cofactor in (below, above, 65_519 * 65_521, 65_521 * 65_537, 65_537 * 65_539, 65_537**2):
+        out += [cofactor, 30 * cofactor, 1031 * cofactor]
+    return out
+
+
+def as_items(n):
+    return sorted(sympy.factorint(n).items())
+
+
+def test_factorize_answers_sympy_at_the_block_edges():
+    for n in [*block_edge_inputs(), *DEEP_SHAPED]:
+        assert list(factorize(n).items()) == as_items(n), n
+
+
+@pytest.mark.parametrize("bound", (1025, 3000, 40_000))
+def test_factorize_matches_trial_division_at_the_block_edges(bound):
+    # the bound cuts the blocks: no prime above it is divided out early
+    for n in [*block_edge_inputs(), *DEEP_SHAPED]:
+        assert_matches_reference(n, bound)
+
+
+def test_refusal_under_a_bound_in_the_blocks_names_the_whole_cofactor():
+    # 1031 lies past the bound 1025, so the refusal names n itself
+    n = 1031 * 5_000_011 * 7_000_003
+    assert assert_matches_reference(n, 1025) == (
+        f"trial division bound 1025 exceeded while factoring {n}"
+    )
+    assert assert_matches_reference(n, 3000) == (
+        f"trial division bound 3000 exceeded while factoring {n // 1031}"
+    )
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 1021, 1031, 3001, 39_989, 40_009, 65_521, 65_537]), max_size=4),
+    st.sampled_from([1, 7, 1_000_003, 5_000_011 * 7_000_003]),
+    st.sampled_from([1025, 3000, 40_000, FACTOR_BOUND]),
+)
+@settings(max_examples=150, deadline=None)
+def test_factorize_matches_trial_division_on_block_products(primes, rest, bound):
+    assert_matches_reference(math.prod(primes) * rest, bound)
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Calls to the stages past the block scan."""
+    calls = dict.fromkeys(("_pollard_brent", "_is_prime_mr", "_divide_out_odd_numbers"), 0)
+    for name in calls:
+
+        def counting(*args, _real=getattr(arith, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(arith, name, counting)
+    return calls
+
+
+def test_primes_below_2_16_are_read_off_the_blocks(fallback_calls):
+    # the blocks divide out a prime below 2^16; a cofactor below the square
+    # of the next block's least prime, as 199_999 is, is a prime
+    for n in (6 * 10_007 * 65_521, *DEEP_SHAPED):
+        assert list(factorize(n).items()) == as_items(n), n
+    assert fallback_calls == dict.fromkeys(fallback_calls, 0)
+    # two primes past 2^16 still go through Pollard-Brent
+    assert factorize(65_537 * 65_539) == {65_537: 1, 65_539: 1}
+    assert fallback_calls["_pollard_brent"] >= 1
+    assert fallback_calls["_divide_out_odd_numbers"] == 0
 
 
 @pytest.mark.parametrize("bound", (FACTOR_BOUND, 2, 3, 10, 1023, 1024, 1025))

@@ -185,6 +185,20 @@ def test_localize_on_z_2pq_factors_once_per_query(factorize_calls, tmp_path, cap
     assert counts["factorize"] == calls
 
 
+def test_localize_at_a_prime_on_z_2pq_tests_it_once(factorize_calls, tmp_path, capsys):
+    # one factorization tests 10007 for MultSet.complement_of_prime, one
+    # reads the exponent for FgModule.primary; the local ring repeats neither
+    counts, result = cold_query(
+        tmp_path, capsys, factorize_calls, Z_2PQ, ["localize", "--at", "10007"]
+    )
+    assert result["localized"]["base_ring"] == "Z_(10007)"
+    assert counts["factorize"] == 2
+    code, _, report = cold_run(
+        tmp_path, capsys, factorize_calls, Z_2PQ, ["localize", "--at", str(10007 * 10009)]
+    )
+    assert code == 1 and report["result"]["error"] == f"--at: {10007 * 10009} is not prime"
+
+
 def test_iso_on_z_2pq_factors_once(factorize_calls, tmp_path, capsys):
     counts, result = cold_query(
         tmp_path, capsys, factorize_calls, Z_2PQ, ["iso", "--f", "20014", "--g", str(4 * 10007)]

@@ -72,6 +72,20 @@ def test_localize_at_prime():
     assert loc.kind == "zero"
 
 
+def test_local_ring_at_a_tested_prime_is_the_checked_one():
+    # MultSet tests p once; the ring it localizes to equals the one the
+    # checking constructor builds
+    for base, p in ((ZZ, 3), (ZZ, 0), (Zmod(12), 2), (Zmod(12), 3)):
+        ring = MultSet.complement_of_prime(p).localized_ring(base)
+        checked = Ring(modulus=base.modulus, local_prime=p)
+        assert ring == checked and hash(ring) == hash(checked) and str(ring) == str(checked)
+    for bad in (1, 4, -3, 10007 * 10009):
+        with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
+            MultSet.complement_of_prime(bad)
+    with pytest.raises(ValueError, match="not a prime ideal"):
+        MultSet.complement_of_prime(5).localized_ring(Zmod(12))
+
+
 def test_localize_degenerate():
     m = from_cyclic_orders(ZZ, [12])
     assert localize(m, MultSet.powers_of(0)).kind == "zero"
